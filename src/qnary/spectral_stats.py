@@ -2,13 +2,31 @@
 
 Averaged over k, the coefficients a_n have mean zero for n >= 1, and their
 variance reduces to a double sum over pairs of primitive pseudo orbits with
-equal metric length.  Two routes evaluate it:
+equal metric length.  Three routes evaluate it:
 
 * the diagonal approximation keeps only self-pairings, giving
   sum |A|^2 = Str * q^(-n), which equals (q-1)/q for every n >= 2;
 * with rationally independent edge lengths, equal metric length forces equal
   edge-multiplicity vectors, so grouping by that exact integer key and
-  summing |group total|^2 evaluates the k-average exactly.
+  summing |group total|^2 evaluates the k-average exactly;
+* the same average from edge sets.  det(I - zU) is multilinear in the edge
+  phases, so a_n = (-1)^n sum over n-edge sets S of det U[S,S], every group
+  of pseudo orbits that repeats an edge sums to zero, and
+
+      Var(a_n) = sum over |S| = n of |det Sigma[S,S]|^2.
+
+  Only balanced S, with as many in-edges as out-edges at every vertex v,
+  contribute, and the minor factors over the vertices as
+  prod_v |det F[C_v,B_v]|^2 (F the q x q DFT, B_v the first letters of v's
+  in-edges in S, C_v the last letters of its out-edges).  Complements of
+  balanced sets are balanced with equal weight, so Var(a_n) = Var(a_(E-n)).
+
+`exact_grouped_variance` evaluates n at d = min(n, E - n) by a transfer DP
+over the balanced edge sets while the DP's work stays within the number of
+pseudo orbits of length d and its live states within the default
+enumeration budget over E(d+1); past either limit it groups the pseudo
+orbits of length d, which refuses beyond the budget.  The route depends on
+(q, m, n) alone.
 
 A Monte-Carlo estimator over uniform k samples cross-checks the pipeline,
 and circular-ensemble reference values (CUE = 1, COE = 1 + n(E-n)/(E+1))
@@ -17,19 +35,21 @@ provide the random-matrix comparison point.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .debruijn import edge_multiplicities, primitive_pseudo_orbits
+from .debruijn import primitive_pseudo_orbits
 from .quantum import (
     SpectralInstance,
     build_instance,
     char_poly_direct,
+    dft_matrix,
     evolution_operator,
     expansion_terms,
 )
-from .words import count_strictly_decreasing
+from .words import DEFAULT_ENUMERATION_BUDGET, count_strictly_decreasing
 
 
 def diagonal_variance(q: int, n: int) -> float:
@@ -44,18 +64,202 @@ def diagonal_variance_from_orbits(inst: SpectralInstance, n: int) -> float:
 
 
 def exact_grouped_variance(inst: SpectralInstance, n: int) -> float:
-    """The k-averaged variance, exact under rationally independent lengths.
+    """The k-averaged variance of a_n, exact under rationally independent lengths.
 
-    Pseudo orbits of length n are grouped by their edge-multiplicity vector;
-    each group contributes |sum of signed amplitudes|^2.
+    Evaluated at d = min(n, E - n).  The balanced-edge-set DP runs while its
+    work, live states summed over the edge steps, stays within the number of
+    pseudo orbits of length d, and its live states within the default
+    budget over E(d+1); past either limit the pseudo orbits of length d are
+    grouped instead, which raises BudgetExceededError when they exceed the
+    default budget.
     """
+    E = inst.graph.num_edges
+    if not 0 <= n <= E:
+        raise ValueError(f"coefficient index {n} outside 0..{E}")
+    q, d = inst.graph.q, min(n, E - n)
+    variances = _balanced_subset_variances(
+        q,
+        inst.graph.m,
+        d,
+        max_work=count_strictly_decreasing(q, d),
+        max_states=DEFAULT_ENUMERATION_BUDGET // (E * (d + 1)),
+    )
+    if variances is None:
+        return _grouped_variance(inst, d)
+    return float(variances[d])
+
+
+def _grouped_variance(inst: SpectralInstance, n: int) -> float:
+    """Pseudo orbits of length n grouped by the multiset of edges they
+    traverse (their edge-multiplicity vector); each group contributes
+    |sum of signed amplitudes|^2."""
+    m = inst.graph.m
+    edges: dict[tuple[int, ...], tuple[int, ...]] = {}
     groups: dict[tuple[int, ...], complex] = {}
     for po, weight in zip(
         primitive_pseudo_orbits(inst.graph.q, n), expansion_terms(inst, n)[0]
     ):
-        key = edge_multiplicities(po, inst.graph).counts
+        walk = []
+        for orbit in po.orbits:
+            word = orbit.word.letters
+            if word not in edges:
+                edges[word] = orbit.edge_sequence(m)
+            walk.extend(edges[word])
+        key = tuple(sorted(walk))
         groups[key] = groups.get(key, 0j) + weight
     return float(sum(abs(v) ** 2 for v in groups.values()))
+
+
+def _group_order(q: int, m: int) -> list[int]:
+    """Edge groups, the middle words a_2..a_m of the edges, in greedy order.
+
+    Vertex a_1..a_m gets its in-edges from group a_1..a_(m-1) and its
+    out-edges from group a_2..a_m; it is open while one of the two is done.
+    Start at group 0, then repeatedly take the group that closes the most
+    open vertices, the lowest index on ties.
+    """
+    G = q ** (m - 1)
+    closes = np.zeros(G, dtype=np.int64)
+    done = np.zeros(G, dtype=bool)
+    order = [0]
+    while True:
+        g = order[-1]
+        done[g] = True
+        if len(order) == G:
+            return order
+        # each vertex b.g and g.c now waits for its other group
+        for h in [(b * G + g) // q for b in range(q)] + [(g * q + c) % G for c in range(q)]:
+            closes[h] += h != g
+        order.append(int(np.argmax(np.where(done, -1, closes))))
+
+
+def _edge_schedule(q: int, m: int) -> tuple[list, int]:
+    """The DP's steps, one per edge b.mu.c, in group order and by (b, c)
+    within a group, and the number of vertex slots they use.
+
+    A vertex holds a slot from its first edge to its last.  Each step is
+    (origin slot, c, terminus slot, b, bounds, completed, closed): bounds
+    gives, for both end vertices, the range of |B| - |C| that their
+    unprocessed edges can still balance; completed lists (slot, offset) for
+    an open vertex whose in-edges (offset 0) or out-edges (offset q) are now
+    all processed; closed lists the slots of vertices with no edge left.
+    """
+    G, V = q ** (m - 1), q**m
+    left_in, left_out = [q] * V, [q] * V
+    slot: dict[int, int] = {}
+    free: list[int] = []
+    width = 0
+    steps = []
+    for mu in _group_order(q, m):
+        for b in range(q):
+            for c in range(q):
+                o, t = b * G + mu, mu * q + c
+                for v in (o, t):
+                    if v not in slot:
+                        slot[v] = heapq.heappop(free) if free else width
+                        width = max(width, slot[v] + 1)
+                so, st = slot[o], slot[t]
+                left_out[o] -= 1
+                left_in[t] -= 1
+                bounds = [(so, -left_in[o], left_out[o]), (st, -left_in[t], left_out[t])]
+                completed = []
+                if left_out[o] == 0 < left_in[o]:
+                    completed.append((so, q))
+                if left_in[t] == 0 < left_out[t]:
+                    completed.append((st, 0))
+                closed = [slot.pop(v) for v in dict.fromkeys((o, t))
+                          if left_in[v] == left_out[v] == 0]
+                for s in closed:
+                    heapq.heappush(free, s)
+                steps.append((so, c, st, b, bounds, completed, closed))
+    return steps, width
+
+
+def _balanced_subset_variances(
+    q: int, m: int, d: int, max_work: int, max_states: int
+) -> np.ndarray | None:
+    """Var(a_0..a_d) of the order-m q-nary graph, from balanced edge sets.
+
+    Var(a_n) is the sum over n-edge sets S of |det Sigma[S,S]|^2.  The minor
+    vanishes unless S is balanced, every vertex v having as many in-edges as
+    out-edges in S; it is then the product over v of |det F[C_v,B_v]|^2, F
+    the q x q DFT, B_v the first letters of v's in-edges in S and C_v the
+    last letters of its out-edges.  The edges are taken one at a time
+    (`_edge_schedule`).  A state packs the open vertices' (B, C) masks into
+    one integer code and carries a polynomial in |S| truncated at degree d.
+    A vertex's weight is applied when it closes, after which states that
+    differ only in its slot merge.  A state is dropped when a vertex can no
+    longer balance, or when its lowest degree plus ceil(sum_v ||B_v|-|C_v||/2),
+    the fewest edges that could balance every vertex, exceeds d.
+
+    Returns None once the live states exceed max_states or their running
+    sum over the steps exceeds max_work.
+    """
+    if max_work < q ** (m + 1) or max_states < 1:
+        return None  # every edge step costs at least one state
+    steps, width = _edge_schedule(q, m)
+    bits, letters = 2 * q, (1 << q) - 1
+    vertex = (1 << bits) - 1
+    dft = dft_matrix(q)
+    weight: dict[int, float] = {}
+
+    def weights(masks: np.ndarray) -> np.ndarray:
+        uniq, inverse = np.unique(masks, return_inverse=True)
+        for x in uniq.tolist():
+            if x not in weight:
+                B = [j for j in range(q) if x >> j & 1]
+                C = [j for j in range(q) if x >> (q + j) & 1]
+                weight[x] = abs(np.linalg.det(dft[np.ix_(C, B)])) ** 2 if C else 1.0
+        return np.array([weight[x] for x in uniq.tolist()])[inverse]
+
+    # object codes hold Python ints when the slots outgrow 63 bits
+    codes = np.zeros(1, dtype=np.int64 if width * bits < 63 else object)
+    imbalance = np.zeros((1, width), dtype=np.int64)  # |B_v| - |C_v| per slot
+    polys = np.zeros((1, d + 1))
+    polys[0, 0] = 1.0
+    work = 0
+    for so, c, st, b, bounds, completed, closed in steps:
+        work += len(codes)
+        if len(codes) > max_states or work > max_work:
+            return None
+        # taking the edge adds c to its origin's C and b to its terminus's B
+        grown = np.zeros_like(polys)
+        grown[:, 1:] = polys[:, :-1]
+        more = imbalance.copy()
+        more[:, so] -= 1
+        more[:, st] += 1
+        nonzero = grown > 0
+        lowest = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), d + 1)
+        keep = lowest + (np.abs(more).sum(axis=1) + 1) // 2 <= d
+        stay = np.ones(len(codes), dtype=bool)
+        for s, low, high in bounds:
+            keep &= (low <= more[:, s]) & (more[:, s] <= high)
+            stay &= (low <= imbalance[:, s]) & (imbalance[:, s] <= high)
+        add = (1 << (so * bits + q + c)) | (1 << (st * bits + b))
+        codes = np.concatenate([codes[stay], codes[keep] | add])
+        imbalance = np.concatenate([imbalance[stay], more[keep]])
+        polys = np.concatenate([polys[stay], grown[keep]])
+        if not completed and not closed:
+            continue
+        for s, offset in completed:
+            # |det F[C,B]|^2 is unchanged when B or C shifts by a letter mod q
+            shift = s * bits + offset
+            mask = (codes >> shift) & letters
+            least = mask
+            for r in range(1, q):
+                least = np.minimum(least, ((mask << r) | (mask >> (q - r))) & letters)
+            codes = codes ^ ((mask ^ least) << shift)
+        for s in closed:
+            w = weights((codes >> (s * bits)) & vertex)
+            live = w > 0
+            codes = codes[live] & ~(vertex << (s * bits))
+            imbalance, polys = imbalance[live], polys[live] * w[live, None]
+        order = np.argsort(codes, kind="stable")
+        codes, imbalance, polys = codes[order], imbalance[order], polys[order]
+        first = np.flatnonzero(np.concatenate([[True], codes[1:] != codes[:-1]]))
+        codes, imbalance = codes[first], imbalance[first]
+        polys = np.add.reduceat(polys, first, axis=0)
+    return polys[0]
 
 
 def monte_carlo_variance(
@@ -166,7 +370,7 @@ def variance_report(
     E = inst.graph.num_edges
     if not 0 <= n <= E:
         raise ValueError(f"coefficient index {n} outside 0..{E}")
-    count = len(primitive_pseudo_orbits(q, n))
+    exact = exact_grouped_variance(inst, n)  # before sampling: it may refuse
     mc_estimate = mc_std_error = None
     if samples > 0:
         mc_estimate, mc_std_error = monte_carlo_variance(inst, n, samples, k_max, seed)
@@ -176,9 +380,9 @@ def variance_report(
         n=n,
         seed=seed,
         samples=samples,
-        pseudo_orbit_count=count,
+        pseudo_orbit_count=count_strictly_decreasing(q, n),
         diag=diagonal_variance(q, n),
-        exact_grouped=exact_grouped_variance(inst, n),
+        exact_grouped=exact,
         cue_ref=rmt_reference("CUE", n, E),
         coe_ref=rmt_reference("COE", n, E),
         mc_estimate=mc_estimate,

@@ -1,6 +1,9 @@
 """CLI surface: formats, exit codes, determinism, and pinned golden output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from qnary.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *args):
@@ -218,6 +222,34 @@ def test_variance_csv(capsys):
     header, row = out.splitlines()
     assert header.split(",")[0] == "q"
     assert len(header.split(",")) == len(row.split(","))
+
+
+@pytest.mark.parametrize(
+    "q,m,n",
+    [
+        (4, 2, 32),  # the DP's live states outgrow the budget; 4^32 pseudo orbits
+        (2, 6, 64),  # likewise, with 2^64 pseudo orbits
+    ],
+)
+def test_variance_over_budget_exits_3_promptly(q, m, n):
+    # a fresh process, so neither a hang nor a memory blow-up can take the suite with it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "qnary", "variance", "--q", str(q), "--m", str(m),
+            "--n", str(n), "--samples", "0"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "exceed budget" in proc.stderr
+
+
+def test_variance_beyond_pseudo_orbit_budget(capsys):
+    # 2^31 pseudo orbits of length 32, but the balanced-edge-set DP finishes
+    code, out, _ = run(capsys, "variance", "--q", "2", "--m", "5", "--n", "32", "--samples", "0")
+    assert code == 0
+    record = json.loads(out)
+    assert record["pseudo_orbit_count"] == 2**31
+    assert record["exact_grouped"] == pytest.approx(0.564468383789, abs=1e-11)
 
 
 # --- csv quoting ----------------------------------------------------------------------

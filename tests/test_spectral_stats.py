@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from qnary.debruijn import edge_multiplicities, primitive_pseudo_orbits
-from qnary.quantum import build_instance
+from qnary.debruijn import PeriodicOrbit, edge_multiplicities, primitive_pseudo_orbits
+from qnary.quantum import build_instance, dft_matrix, expansion_terms
 from qnary.spectral_stats import (
+    _balanced_subset_variances,
+    _grouped_variance,
     diagonal_variance,
     diagonal_variance_from_orbits,
     exact_grouped_variance,
@@ -16,6 +18,7 @@ from qnary.spectral_stats import (
     rmt_reference,
     variance_report,
 )
+from qnary.words import BudgetExceededError, lyndon_words
 
 
 def test_diagonal_variance_closed_form():
@@ -152,3 +155,125 @@ def test_variance_report_with_mc():
     assert record["mc_std_error"] > 0
     assert abs(record["mc_estimate"] - record["exact_grouped"]) < 5 * record["mc_std_error"]
     json.dumps(record)
+
+
+# --- the balanced-edge-set identities behind exact_grouped_variance ----------------
+
+FULL_DP = {"max_work": 10**12, "max_states": 10**9}
+
+
+@pytest.mark.parametrize(
+    "q,m,n_max",
+    [(2, 1, 4), (2, 2, 8), (2, 3, 16), (2, 4, 16), (3, 1, 9), (3, 2, 9), (4, 1, 8)],
+)
+def test_balanced_subset_dp_equals_pseudo_orbit_grouping(q, m, n_max):
+    inst = build_instance(q, m, seed=4)
+    dp = _balanced_subset_variances(q, m, n_max, **FULL_DP)
+    for n in range(n_max + 1):
+        assert dp[n] == pytest.approx(_grouped_variance(inst, n), abs=1e-12)
+
+
+def test_balanced_subset_dp_with_codes_wider_than_64_bits():
+    # q=2 m=7 keeps 20 vertices open at once, 80 bits of masks per state
+    inst = build_instance(2, 7, seed=4)
+    dp = _balanced_subset_variances(2, 7, 8, **FULL_DP)
+    for n in range(9):
+        assert dp[n] == pytest.approx(_grouped_variance(inst, n), abs=1e-12)
+
+
+@pytest.mark.parametrize("q,m,n_max", [(2, 2, 8), (2, 3, 10), (3, 1, 6), (4, 1, 4)])
+def test_groups_that_repeat_an_edge_cancel(q, m, n_max):
+    # the Euler product is multilinear in the edge phases
+    inst = build_instance(q, m, seed=4)
+    repeating = 0
+    for n in range(n_max + 1):
+        groups = {}
+        for po, weight in zip(primitive_pseudo_orbits(q, n), expansion_terms(inst, n)[0]):
+            key = edge_multiplicities(po, inst.graph).counts
+            groups[key] = groups.get(key, 0j) + weight
+        for key, total in groups.items():
+            if max(key, default=0) > 1:
+                repeating += 1
+                assert abs(total) <= 1e-14
+    assert repeating > 0
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (4, 1)])
+def test_variance_symmetric_under_complement(q, m):
+    # the DP carried to degree E computes Var(n) and Var(E-n) from complementary sets
+    E = q ** (m + 1)
+    dp = _balanced_subset_variances(q, m, E, **FULL_DP)
+    for n in range(E + 1):
+        assert dp[n] == pytest.approx(dp[E - n], abs=1e-12)
+    assert dp[0] == pytest.approx(1.0, abs=1e-12)
+    assert dp[E] == pytest.approx(1.0, abs=1e-12)  # |det Sigma|^2 = 1
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)])
+def test_exact_equals_diagonal_up_to_m_plus_one(q, m):
+    inst = build_instance(q, m, seed=4)
+    for n in range(2, m + 2):
+        assert exact_grouped_variance(inst, n) == pytest.approx((q - 1) / q, abs=1e-12)
+    assert abs(exact_grouped_variance(inst, m + 2) - (q - 1) / q) > 1e-3
+
+
+def test_exact_below_diagonal_at_q4_m1_n3():
+    value = exact_grouped_variance(build_instance(4, 1, seed=4), 3)
+    assert value == pytest.approx(0.625, abs=1e-12)
+    assert value < diagonal_variance(4, 3)
+
+
+def _random_balanced_set(q, m, rng):
+    """A union of edge-disjoint primitive orbits, so in-degree = out-degree."""
+    chosen = set()
+    for _ in range(int(rng.integers(1, 6))):
+        length = int(rng.integers(1, 2 * m + 3))
+        words = lyndon_words(q, length)
+        orbit = PeriodicOrbit(words[int(rng.integers(len(words)))])
+        edges = orbit.edge_sequence(m)
+        if len(set(edges)) == len(edges) and chosen.isdisjoint(edges):
+            chosen.update(edges)
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_balanced_minor_factors_over_vertices(q, m):
+    inst = build_instance(q, m, seed=4)
+    graph, sigma, F = inst.graph, inst.sigma.entries, dft_matrix(q)
+    rng = np.random.default_rng(1000 * q + m)
+    for _ in range(20):
+        S = _random_balanced_set(q, m, rng)
+        direct = abs(np.linalg.det(sigma[np.ix_(S, S)])) ** 2 if S else 1.0
+        product = 1.0
+        for v in range(graph.num_vertices):
+            B = [e // graph.num_vertices for e in S if graph.edge_terminus(e) == v]
+            C = [e % q for e in S if graph.edge_origin(e) == v]
+            assert len(B) == len(C)
+            if B:
+                product *= abs(np.linalg.det(F[np.ix_(C, B)])) ** 2
+        assert direct == pytest.approx(product, abs=1e-12)
+        # one more non-loop edge unbalances its end vertices, and the minor vanishes
+        extra = [e for e in range(graph.num_edges) if e not in S]
+        if extra and graph.edge_origin(extra[0]) != graph.edge_terminus(extra[0]):
+            T = sorted(S + extra[:1])
+            assert abs(np.linalg.det(sigma[np.ix_(T, T)])) < 1e-12
+
+
+def test_exact_variance_beyond_pseudo_orbit_budget():
+    # 2^31 pseudo orbits of length 32: the grouping refuses, the DP does not
+    inst = build_instance(2, 5, seed=0)
+    value = exact_grouped_variance(inst, 32)
+    assert value == pytest.approx(0.564468383789, abs=1e-11)
+    assert exact_grouped_variance(build_instance(2, 5, seed=9), 32) == pytest.approx(
+        value, abs=1e-12
+    )
+    with pytest.raises(BudgetExceededError):
+        _grouped_variance(inst, 32)
+
+
+def test_exact_variance_index_out_of_range():
+    inst = build_instance(2, 1, seed=0)
+    with pytest.raises(ValueError):
+        exact_grouped_variance(inst, 5)
+    with pytest.raises(ValueError):
+        exact_grouped_variance(inst, -1)
