@@ -14,11 +14,14 @@ one-to-one with Lyndon words.  A primitive pseudo orbit is a set of
 distinct primitive orbits; concatenating its words in strictly decreasing
 order puts these sets in bijection with the words whose standard
 decomposition has no repeated factor.
+
+Inside the package a pseudo orbit is that strictly decreasing tuple of
+Lyndon letter tuples; `PeriodicOrbit` and `PseudoOrbit` objects are built
+only where a caller asks for them.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,6 +29,7 @@ from .words import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     Word,
+    _lyndon_tuples,
     count_strictly_decreasing,
     is_lyndon,
     lyndon_words,
@@ -108,6 +112,18 @@ def build_graph(q: int, m: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> QNa
     return QNaryGraph(q, m)
 
 
+def _windows(letters: tuple[int, ...], q: int, width: int) -> tuple[int, ...]:
+    # base-q values of the l cyclic windows of the given width
+    l = len(letters)
+    out = []
+    for start in range(l):
+        v = 0
+        for off in range(width):
+            v = v * q + letters[(start + off) % l]
+        out.append(v)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PeriodicOrbit:
     """Primitive closed walk, canonicalized by its Lyndon representative."""
@@ -122,40 +138,16 @@ class PeriodicOrbit:
     def topological_length(self) -> int:
         return len(self.word)
 
-    def _windows(self, width: int) -> tuple[int, ...]:
-        letters, q = self.word.letters, self.word.q
-        l = len(letters)
-        out = []
-        for start in range(l):
-            v = 0
-            for off in range(width):
-                v = v * q + letters[(start + off) % l]
-            out.append(v)
-        return tuple(out)
-
     def vertex_sequence(self, m: int) -> tuple[int, ...]:
         """The l vertices visited on the order-m graph, one per edge step."""
-        return self._windows(m)
+        return _windows(self.word.letters, self.word.q, m)
 
     def edge_sequence(self, m: int) -> tuple[int, ...]:
         """The l edge indices of the closed walk on the order-m graph."""
-        return self._windows(m + 1)
+        return _windows(self.word.letters, self.word.q, m + 1)
 
     def __str__(self):
         return str(self.word)
-
-
-def orbit_from_word(w: Word, m: int) -> PeriodicOrbit:
-    """Wrap a Lyndon word as the primitive orbit it traces on an order-m graph.
-
-    The orbit itself does not depend on m; `edge_sequence(m)` realizes it on
-    any order.  Non-Lyndon input is rejected, callers canonicalize first.
-    """
-    if m < 1:
-        raise ValueError(f"graph order must be at least 1, got {m}")
-    if len(w) == 0 or not is_lyndon(w):
-        raise ValueError(f"{w} is not a Lyndon word; canonicalize the rotation first")
-    return PeriodicOrbit(w)
 
 
 def primitive_periodic_orbits(q: int, l: int) -> list[PeriodicOrbit]:
@@ -176,7 +168,7 @@ class PseudoOrbit:
             if o.word.q != self.q:
                 raise ValueError("orbit alphabet size differs from pseudo orbit")
         for a, b in zip(self.orbits, self.orbits[1:]):
-            if not a.word > b.word:
+            if not a.word.letters > b.word.letters:  # one alphabet, checked above
                 raise ValueError("orbits must be distinct and strictly decreasing")
 
     @classmethod
@@ -216,6 +208,16 @@ def primitive_pseudo_orbits(
     decreasing word; n = 0 yields the single empty pseudo orbit.  The
     enumeration depends only on (q, n), not on the graph order.
     """
+    items = _pseudo_orbit_tuples(q, n, budget)
+    orbits = {t: PeriodicOrbit(Word(t, q)) for t in _lyndon_tuples(q, n)}
+    return [PseudoOrbit(tuple(orbits[t] for t in words), q) for words in items]
+
+
+def _pseudo_orbit_tuples(
+    q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The pseudo orbits of length n as strictly decreasing tuples of Lyndon
+    letter tuples, in the order of `primitive_pseudo_orbits`."""
     if q < 1:
         raise ValueError(f"alphabet size must be at least 1, got {q}")
     if n < 0:
@@ -225,14 +227,11 @@ def primitive_pseudo_orbits(
         raise BudgetExceededError(
             f"{expected} pseudo orbits of length {n} exceed budget {budget}"
         )
-    return list(_pseudo_orbits(q, n))
-
-
-@functools.lru_cache(maxsize=None)
-def _pseudo_orbits(q: int, n: int) -> tuple[PseudoOrbit, ...]:
     if n == 0:
-        return (PseudoOrbit((), q),)
-    pools = {l: lyndon_words(q, l) for l in range(1, n + 1)}
+        return [()]
+    pools: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    for t in _lyndon_tuples(q, n):
+        pools[len(t)].append(t)
 
     # Profiles: how many words of each length go into a subset. Words of equal
     # length are automatically distinct, so each profile contributes a product
@@ -259,25 +258,12 @@ def _pseudo_orbits(q: int, n: int) -> tuple[PseudoOrbit, ...]:
     for profile in profiles:
         pick_lists = [itertools.combinations(pools[l], j) for l, j in profile]
         for picks in itertools.product(*pick_lists):
-            chosen = [w for group in picks for w in group]
-            chosen.sort(key=lambda w: w.letters, reverse=True)
-            out.append(PseudoOrbit(tuple(PeriodicOrbit(w) for w in chosen), q))
-    out.sort(key=lambda po: po.concatenated().letters)
-    return tuple(out)
+            out.append(tuple(sorted(itertools.chain.from_iterable(picks), reverse=True)))
+    out.sort(key=lambda words: tuple(itertools.chain.from_iterable(words)))
+    return out
 
 
-@dataclass(frozen=True)
-class EdgeMultiplicityVector:
-    """Per-edge traversal counts of a pseudo orbit on one graph."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def edge_multiplicities(po: PseudoOrbit, graph: QNaryGraph) -> EdgeMultiplicityVector:
+def edge_multiplicities(po: PseudoOrbit, graph: QNaryGraph) -> tuple[int, ...]:
     """How many times the pseudo orbit traverses each edge of the graph."""
     if po.q != graph.q:
         raise ValueError("pseudo orbit and graph alphabet sizes differ")
@@ -285,4 +271,4 @@ def edge_multiplicities(po: PseudoOrbit, graph: QNaryGraph) -> EdgeMultiplicityV
     for orbit in po.orbits:
         for e in orbit.edge_sequence(graph.m):
             counts[e] += 1
-    return EdgeMultiplicityVector(tuple(counts))
+    return tuple(counts)

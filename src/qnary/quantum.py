@@ -15,16 +15,19 @@ pseudo orbits,
 
 where an orbit's amplitude is the cyclic product of Sigma entries along its
 edge sequence and its metric length the sum of traversed edge lengths.
+Every call enumerates the pseudo orbits it needs afresh; nothing is cached
+on the instance, so a caller that evaluates many k takes `expansion_terms`
+once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .debruijn import PeriodicOrbit, PseudoOrbit, QNaryGraph, build_graph, primitive_pseudo_orbits
+from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows, build_graph
 from .words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError
 
 DEFAULT_MAX_CHARPOLY_DIM = 64
@@ -97,8 +100,6 @@ class SpectralInstance:
     graph: QNaryGraph
     sigma: ScatteringMatrix
     lengths: EdgeLengths
-    _expansion_cache: dict = field(default_factory=dict, repr=False)
-    _orbit_cache: dict = field(default_factory=dict, repr=False)
 
 
 def build_instance(
@@ -175,71 +176,60 @@ def orbit_amplitude(orbit: PeriodicOrbit, sigma: ScatteringMatrix) -> complex:
     """
     if orbit.word.q != sigma.q:
         raise ValueError("orbit and scattering matrix alphabet sizes differ")
-    edges = orbit.edge_sequence(sigma.m)
-    S = sigma.entries
+    return _walk_amplitude(orbit.edge_sequence(sigma.m), sigma.entries)
+
+
+def _walk_amplitude(edges: tuple[int, ...], S: np.ndarray) -> complex:
     amp = 1 + 0j
     for i, e in enumerate(edges):
         amp *= S[edges[(i + 1) % len(edges)], e]
     return amp
 
 
-def pseudo_orbit_amplitude(po: PseudoOrbit, sigma: ScatteringMatrix) -> complex:
-    """Product of member-orbit amplitudes; the empty pseudo orbit gives 1."""
-    amp = 1 + 0j
-    for orbit in po.orbits:
-        amp *= orbit_amplitude(orbit, sigma)
-    return amp
+def _pseudo_orbit_terms(inst: SpectralInstance, n: int):
+    """Yield (edge walk, signed amplitude, metric length) for each pseudo
+    orbit of length n, in enumeration order.
 
-
-def pseudo_orbit_length(po: PseudoOrbit, lengths: EdgeLengths, graph: QNaryGraph) -> float:
-    """Total metric length: edge lengths summed with traversal multiplicity."""
-    if po.q != graph.q:
-        raise ValueError("pseudo orbit and graph alphabet sizes differ")
-    total = 0.0
-    for orbit in po.orbits:
-        for e in orbit.edge_sequence(graph.m):
-            total += lengths.lengths[e]
-    return total
-
-
-def _orbit_data(inst: SpectralInstance, orbit: PeriodicOrbit) -> tuple[complex, float]:
-    key = orbit.word.letters
-    data = inst._orbit_cache.get(key)
-    if data is None:
-        edges = orbit.edge_sequence(inst.graph.m)
-        amp = orbit_amplitude(orbit, inst.sigma)
-        length = float(sum(inst.lengths.lengths[e] for e in edges))
-        data = (amp, length)
-        inst._orbit_cache[key] = data
-    return data
+    The signed amplitude is (-1)^(orbit count) times the product of the
+    member orbits' amplitudes, the metric length the sum of traversed edge
+    lengths; each Lyndon word's walk, amplitude and length are computed once
+    per call.
+    """
+    q, m = inst.graph.q, inst.graph.m
+    S, ell = inst.sigma.entries, inst.lengths.lengths
+    orbits: dict[tuple[int, ...], tuple[tuple[int, ...], complex, float]] = {}
+    for words in _pseudo_orbit_tuples(q, n):
+        walk: list[int] = []
+        amp = 1 + 0j
+        length = 0.0
+        for word in words:
+            data = orbits.get(word)
+            if data is None:
+                edges = _windows(word, q, m + 1)
+                data = (edges, _walk_amplitude(edges, S), float(sum(ell[e] for e in edges)))
+                orbits[word] = data
+            walk.extend(data[0])
+            amp *= data[1]
+            length += data[2]
+        yield walk, -amp if len(words) % 2 else amp, length
 
 
 def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-pseudo-orbit expansion data for coefficient n.
 
     Returns (weights, metric_lengths) over the pseudo orbits of total length
-    n, where weights[i] = (-1)^(orbit count) * amplitude.  Cached on the
-    instance; the arrays are read-only.
+    n, where weights[i] = (-1)^(orbit count) * amplitude.  Each call
+    enumerates the pseudo orbits anew; the arrays are read-only.
     """
-    cached = inst._expansion_cache.get(n)
-    if cached is None:
-        orbits = primitive_pseudo_orbits(inst.graph.q, n)
-        weights = np.empty(len(orbits), dtype=complex)
-        metric = np.empty(len(orbits), dtype=float)
-        for i, po in enumerate(orbits):
-            amp = 1 + 0j
-            length = 0.0
-            for orbit in po.orbits:
-                a, l = _orbit_data(inst, orbit)
-                amp *= a
-                length += l
-            weights[i] = -amp if po.num_orbits % 2 else amp
-            metric[i] = length
-        weights.setflags(write=False)
-        metric.setflags(write=False)
-        cached = (weights, metric)
-        inst._expansion_cache[n] = cached
-    return cached
+    amps, lengths = [], []
+    for _, amp, length in _pseudo_orbit_terms(inst, n):
+        amps.append(amp)
+        lengths.append(length)
+    weights = np.array(amps, dtype=complex)
+    metric = np.array(lengths, dtype=float)
+    weights.setflags(write=False)
+    metric.setflags(write=False)
+    return weights, metric
 
 
 def coeff_from_pseudo_orbits(n: int, inst: SpectralInstance, k: float) -> complex:

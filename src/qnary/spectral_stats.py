@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .debruijn import primitive_pseudo_orbits
 from .quantum import (
     SpectralInstance,
+    _pseudo_orbit_terms,
     build_instance,
     char_poly_direct,
     dft_matrix,
@@ -93,18 +93,8 @@ def _grouped_variance(inst: SpectralInstance, n: int) -> float:
     """Pseudo orbits of length n grouped by the multiset of edges they
     traverse (their edge-multiplicity vector); each group contributes
     |sum of signed amplitudes|^2."""
-    m = inst.graph.m
-    edges: dict[tuple[int, ...], tuple[int, ...]] = {}
     groups: dict[tuple[int, ...], complex] = {}
-    for po, weight in zip(
-        primitive_pseudo_orbits(inst.graph.q, n), expansion_terms(inst, n)[0]
-    ):
-        walk = []
-        for orbit in po.orbits:
-            word = orbit.word.letters
-            if word not in edges:
-                edges[word] = orbit.edge_sequence(m)
-            walk.extend(edges[word])
+    for walk, weight, _ in _pseudo_orbit_terms(inst, n):
         key = tuple(sorted(walk))
         groups[key] = groups.get(key, 0j) + weight
     return float(sum(abs(v) ** 2 for v in groups.values()))
@@ -262,6 +252,21 @@ def _balanced_subset_variances(
     return polys[0]
 
 
+def _check_sampling(samples: int, k_max: float) -> None:
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    if not k_max > 0:
+        raise ValueError(f"k_max must be positive, got {k_max}")
+
+
+def _sampled_coefficients(inst: SpectralInstance, samples: int, k_max: float, seed: int):
+    """The coefficients a_0..a_E at `samples` uniform k draws on [0, k_max],
+    one array per draw; deterministic for a given seed."""
+    _check_sampling(samples, k_max)
+    ks = np.random.default_rng(seed).uniform(0.0, k_max, size=samples)
+    return (char_poly_direct(evolution_operator(inst, k)).a for k in ks)
+
+
 def monte_carlo_variance(
     inst: SpectralInstance, n: int, samples: int, k_max: float, seed: int
 ) -> tuple[float, float]:
@@ -269,16 +274,8 @@ def monte_carlo_variance(
 
     Returns (sample mean, standard error); deterministic for a given seed.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if not k_max > 0:
-        raise ValueError(f"k_max must be positive, got {k_max}")
-    rng = np.random.default_rng(seed)
-    ks = rng.uniform(0.0, k_max, size=samples)
-    values = np.empty(samples)
-    for i, k in enumerate(ks):
-        coeffs = char_poly_direct(evolution_operator(inst, k))
-        values[i] = abs(coeffs.a[n]) ** 2
+    rows = _sampled_coefficients(inst, samples, k_max, seed)
+    values = np.array([abs(a[n]) ** 2 for a in rows])
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(samples))
 
 
@@ -290,16 +287,7 @@ def monte_carlo_coefficient_means(
     Returns (means, standard errors); the standard error combines real and
     imaginary scatter.  Averaged over k, every a_n with n >= 1 has mean zero.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if not k_max > 0:
-        raise ValueError(f"k_max must be positive, got {k_max}")
-    rng = np.random.default_rng(seed)
-    ks = rng.uniform(0.0, k_max, size=samples)
-    E = inst.graph.num_edges
-    coeffs = np.empty((samples, E + 1), dtype=complex)
-    for i, k in enumerate(ks):
-        coeffs[i] = char_poly_direct(evolution_operator(inst, k)).a
+    coeffs = np.array(list(_sampled_coefficients(inst, samples, k_max, seed)))
     means = coeffs.mean(axis=0)
     spread = np.sqrt(np.mean(np.abs(coeffs - means) ** 2, axis=0))
     return means, spread / np.sqrt(samples)
@@ -365,11 +353,11 @@ def variance_report(
 ) -> VarianceReport:
     """Assemble diagonal, exact-grouped, optional Monte-Carlo, and reference
     values for one (q, m, n) configuration.  Monte-Carlo fields are filled
-    only when samples > 0."""
+    only when samples > 0; samples must be 0 or at least 2."""
+    if samples != 0:
+        _check_sampling(samples, k_max)
     inst = build_instance(q, m, seed)
     E = inst.graph.num_edges
-    if not 0 <= n <= E:
-        raise ValueError(f"coefficient index {n} outside 0..{E}")
     exact = exact_grouped_variance(inst, n)  # before sampling: it may refuse
     mc_estimate = mc_std_error = None
     if samples > 0:

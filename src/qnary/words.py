@@ -13,6 +13,7 @@ All counting functions use exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ class BudgetExceededError(Exception):
     """An enumeration or matrix dimension exceeded its configured budget."""
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class Word:
     """Immutable word over the alphabet {0, ..., q-1}.
@@ -64,43 +66,14 @@ class Word:
     def __getitem__(self, i):
         return self.letters[i]
 
-    def _require_same_alphabet(self, other: Word) -> None:
+    def __lt__(self, other: Word) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         if self.q != other.q:
             raise ValueError(
                 f"cannot compare words over alphabet sizes {self.q} and {other.q}"
             )
-
-    def __lt__(self, other: Word) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        self._require_same_alphabet(other)
         return self.letters < other.letters
-
-    def __le__(self, other: Word) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        self._require_same_alphabet(other)
-        return self.letters <= other.letters
-
-    def __gt__(self, other: Word) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        self._require_same_alphabet(other)
-        return self.letters > other.letters
-
-    def __ge__(self, other: Word) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        self._require_same_alphabet(other)
-        return self.letters >= other.letters
-
-
-def lex_compare(u: Word, v: Word) -> int:
-    """Three-way dictionary-order comparison: -1 if u < v, 0 if equal, +1 if u > v."""
-    u._require_same_alphabet(v)
-    if u.letters == v.letters:
-        return 0
-    return -1 if u.letters < v.letters else 1
 
 
 def _duval(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -234,18 +207,6 @@ def count_lyndon(q: int, l: int) -> int:
     total = sum(_mobius(d) * q ** (l // d) for d in _divisors(l))
     assert total % l == 0  # necklace-counting divisibility
     return total // l
-
-
-@dataclass(frozen=True)
-class LyndonCountTable:
-    """Lyndon word counts per length for one alphabet size."""
-
-    q: int
-    counts: dict[int, int]
-
-
-def lyndon_count_table(q: int, max_len: int) -> LyndonCountTable:
-    return LyndonCountTable(q, {l: count_lyndon(q, l) for l in range(1, max_len + 1)})
 
 
 def verify_lyndon_count_identity(q: int, m: int) -> bool:

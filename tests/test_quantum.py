@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qnary.debruijn import PeriodicOrbit, PseudoOrbit, build_graph, primitive_pseudo_orbits
+from qnary.debruijn import PeriodicOrbit, build_graph, primitive_pseudo_orbits
 from qnary.quantum import (
     CharPolyCoefficients,
     assemble_sigma,
@@ -19,9 +19,8 @@ from qnary.quantum import (
     coeff_from_pseudo_orbits,
     dft_matrix,
     evolution_operator,
+    expansion_terms,
     orbit_amplitude,
-    pseudo_orbit_amplitude,
-    pseudo_orbit_length,
     sample_edge_lengths,
 )
 from qnary.words import BudgetExceededError, Word
@@ -229,37 +228,50 @@ def test_orbit_amplitude_modulus(q, m):
 
 
 def test_pseudo_orbit_amplitude():
-    s = assemble_sigma(build_graph(2, 2))
-    empty = PseudoOrbit((), 2)
-    assert pseudo_orbit_amplitude(empty, s) == 1
-    single = PseudoOrbit.from_orbits([PeriodicOrbit(w("01"))], 2)
-    assert pseudo_orbit_amplitude(single, s) == orbit_amplitude(PeriodicOrbit(w("01")), s)
+    inst = build_instance(2, 2, seed=0)
+    weights, _ = expansion_terms(inst, 0)
+    assert weights.tolist() == [1]  # the empty pseudo orbit
+    # length 2: {01} then {1,0}; one orbit, so the sign is -1
+    weights, _ = expansion_terms(inst, 2)
+    assert weights[0] == -orbit_amplitude(PeriodicOrbit(w("01")), inst.sigma)
     for n in range(0, 7):
-        for po in primitive_pseudo_orbits(2, n):
-            assert abs(pseudo_orbit_amplitude(po, s)) ** 2 == pytest.approx(
-                2.0 ** (-po.total_length), abs=1e-12
-            )
+        weights, _ = expansion_terms(inst, n)
+        assert np.abs(weights) ** 2 == pytest.approx(2.0**-n, abs=1e-12)
 
 
 def test_pseudo_orbit_length():
-    g = build_graph(2, 3)
-    lengths = sample_edge_lengths(g, seed=9)
-    empty = PseudoOrbit((), 2)
-    assert pseudo_orbit_length(empty, lengths, g) == 0.0
-    loop = PseudoOrbit.from_orbits([PeriodicOrbit(w("0"))], 2)
-    assert pseudo_orbit_length(loop, lengths, g) == pytest.approx(
-        lengths.lengths[g.edge_index(w("0000"))]
-    )
+    inst = build_instance(2, 3, seed=9)
+    g, ell = inst.graph, inst.lengths.lengths
+    assert expansion_terms(inst, 0)[1].tolist() == [0.0]
+    # length 1: the loops {0} then {1}
+    assert expansion_terms(inst, 1)[1][0] == pytest.approx(ell[g.edge_index(w("0000"))])
 
-    g2 = build_graph(2, 2)
-    lengths2 = sample_edge_lengths(g2, seed=9)
-    po = PseudoOrbit.from_orbits(
-        [PeriodicOrbit(w("1")), PeriodicOrbit(w("01")), PeriodicOrbit(w("0"))], 2
-    )
-    ell = lengths2.lengths
-    expected = ell[g2.edge_index(w("111"))] + ell[g2.edge_index(w("010"))]
-    expected += ell[g2.edge_index(w("101"))] + ell[g2.edge_index(w("000"))]
-    assert pseudo_orbit_length(po, lengths2, g2) == pytest.approx(expected, abs=1e-14)
+    inst2 = build_instance(2, 2, seed=9)
+    g2, ell2 = inst2.graph, inst2.lengths.lengths
+    orbits = [str(po) for po in primitive_pseudo_orbits(2, 4)]
+    metric = expansion_terms(inst2, 4)[1]
+    expected = ell2[g2.edge_index(w("111"))] + ell2[g2.edge_index(w("010"))]
+    expected += ell2[g2.edge_index(w("101"))] + ell2[g2.edge_index(w("000"))]
+    assert metric[orbits.index("{1,01,0}")] == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("q,m,n_max", [(2, 1, 4), (2, 2, 8), (2, 3, 12), (3, 1, 9)])
+def test_expansion_terms_match_orbit_objects(q, m, n_max):
+    # independent route: public PseudoOrbit objects, orbit_amplitude and
+    # PeriodicOrbit.edge_sequence, multiplied and summed orbit by orbit
+    inst = build_instance(q, m, seed=21)
+    ell = inst.lengths.lengths
+    for n in range(n_max + 1):
+        weights, metric = expansion_terms(inst, n)
+        orbits = primitive_pseudo_orbits(q, n)
+        assert len(weights) == len(metric) == len(orbits)
+        for po, weight, length in zip(orbits, weights, metric):
+            amp, total = 1 + 0j, 0.0
+            for orbit in po.orbits:
+                amp *= orbit_amplitude(orbit, inst.sigma)
+                total += float(sum(ell[e] for e in orbit.edge_sequence(m)))
+            assert weight == (-amp if po.num_orbits % 2 else amp)
+            assert length == total
 
 
 # --- pseudo-orbit expansion of the coefficients -----------------------------------------

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qnary import spectral_stats
 from qnary.debruijn import PeriodicOrbit, edge_multiplicities, primitive_pseudo_orbits
 from qnary.quantum import build_instance, dft_matrix, expansion_terms
 from qnary.spectral_stats import (
@@ -58,7 +59,7 @@ def test_diagonal_variance_from_orbits_examples():
 def test_exact_grouped_equals_diagonal_when_groups_are_singletons():
     inst = build_instance(2, 2, seed=2)
     keys = [
-        edge_multiplicities(po, inst.graph).counts
+        edge_multiplicities(po, inst.graph)
         for po in primitive_pseudo_orbits(2, 2)
     ]
     assert len(set(keys)) == len(keys)  # grouping is trivial at n = 2
@@ -71,7 +72,7 @@ def test_exact_grouped_differs_when_groups_merge():
     # at n = 4 the sets {0001} and {001,0} traverse the same edges
     inst = build_instance(2, 2, seed=2)
     keys = [
-        edge_multiplicities(po, inst.graph).counts
+        edge_multiplicities(po, inst.graph)
         for po in primitive_pseudo_orbits(2, 4)
     ]
     assert len(set(keys)) < len(keys)
@@ -101,6 +102,36 @@ def test_monte_carlo_argument_validation():
         monte_carlo_variance(inst, 1, samples=1, k_max=1e4, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_variance(inst, 1, samples=10, k_max=0.0, seed=0)
+    with pytest.raises(ValueError):
+        monte_carlo_coefficient_means(inst, samples=1, k_max=1e4, seed=0)
+    with pytest.raises(ValueError):
+        monte_carlo_coefficient_means(inst, samples=10, k_max=-1.0, seed=0)
+
+
+def test_monte_carlo_pinned_at_one_seed():
+    # values recorded from the two separate sampling loops this package had
+    # before they shared one sampler (x86-64, numpy 2.4 with OpenBLAS); the
+    # determinants go through LAPACK, so another BLAS may differ in the last bits
+    inst = build_instance(2, 1, seed=3)
+    assert monte_carlo_variance(inst, 2, samples=50, k_max=1e4, seed=11) == (
+        0.45944936863529295,
+        0.05214142361221981,
+    )
+    means, ses = monte_carlo_coefficient_means(inst, samples=50, k_max=1e4, seed=11)
+    assert means.tolist() == [
+        1 + 0j,
+        0.1253265631576339 - 0.004244411789169273j,
+        -0.038681855226319097 + 0.006653035479705641j,
+        -0.048935591682973456 + 0.059790379247909156j,
+        -0.01345389091927124 - 0.13688079144520784j,
+    ]
+    assert ses.tolist() == [
+        0.0,
+        0.14492626985809992,
+        0.09569836151475623,
+        0.14559782729350795,
+        0.14007731020778957,
+    ]
 
 
 def test_coefficient_means_zero_for_positive_n():
@@ -147,6 +178,17 @@ def test_variance_report_q5():
     assert report.pseudo_orbit_count == 4 * 25
 
 
+def test_variance_report_checks_sampling_before_exact_value(monkeypatch):
+    def refuse(inst, n):
+        raise AssertionError("exact value computed before the arguments were checked")
+
+    monkeypatch.setattr(spectral_stats, "exact_grouped_variance", refuse)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        variance_report(2, 7, 18, seed=0, samples=1)
+    with pytest.raises(ValueError, match="k_max"):
+        variance_report(2, 2, 4, seed=0, samples=10, k_max=0.0)
+
+
 def test_variance_report_with_mc():
     report = variance_report(2, 2, 4, seed=7, samples=400, k_max=500.0)
     record = report.to_dict()
@@ -189,7 +231,7 @@ def test_groups_that_repeat_an_edge_cancel(q, m, n_max):
     for n in range(n_max + 1):
         groups = {}
         for po, weight in zip(primitive_pseudo_orbits(q, n), expansion_terms(inst, n)[0]):
-            key = edge_multiplicities(po, inst.graph).counts
+            key = edge_multiplicities(po, inst.graph)
             groups[key] = groups.get(key, 0j) + weight
         for key, total in groups.items():
             if max(key, default=0) > 1:

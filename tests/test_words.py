@@ -22,8 +22,6 @@ from qnary.words import (
     duval_factorize,
     is_lyndon,
     is_strictly_decreasing,
-    lex_compare,
-    lyndon_count_table,
     lyndon_subset_series,
     lyndon_words,
     verify_lyndon_count_identity,
@@ -67,23 +65,31 @@ def nonincreasing_cut_factorizations(t, bound=None):
 
 
 def test_lex_compare_examples():
-    assert lex_compare(w("0"), w("001")) == -1
-    assert lex_compare(w("01"), w("01")) == 0
-    assert lex_compare(w("011"), w("01")) == 1
+    assert w("0") < w("001") and not w("0") >= w("001")
+    assert w("01") == w("01") and w("01") <= w("01") and w("01") >= w("01")
+    assert not w("01") < w("01") and not w("01") > w("01")
+    assert w("011") > w("01") and not w("011") <= w("01")
 
 
 def test_lex_order_chain_of_short_lyndon_words():
     chain = [w(s) for s in ["0", "0001", "001", "0011", "01", "011", "0111", "1"]]
     for a, b in zip(chain, chain[1:]):
-        assert lex_compare(a, b) == -1
         assert a < b
+        assert b > a
+    assert sorted(reversed(chain)) == chain
 
 
 def test_lex_compare_alphabet_mismatch():
-    with pytest.raises(ValueError):
-        lex_compare(w("01", q=2), w("01", q=3))
-    with pytest.raises(ValueError):
-        _ = w("01", q=2) < w("01", q=3)
+    u, v = w("01", q=2), w("01", q=3)
+    for compare in (
+        lambda: u < v,
+        lambda: u <= v,
+        lambda: u > v,
+        lambda: u >= v,
+    ):
+        with pytest.raises(ValueError):
+            compare()
+    assert u != v
 
 
 @st.composite
@@ -98,16 +104,21 @@ def same_alphabet_words(draw, count):
 @given(same_alphabet_words(count=2))
 def test_lex_compare_antisymmetry(pair):
     u, v = pair
-    assert lex_compare(u, v) == -lex_compare(v, u)
-    if lex_compare(u, v) == 0:
+    assert [u < v, u == v, u > v].count(True) == 1
+    assert (u < v) == (v > u)
+    assert (u <= v) == (v >= u)
+    assert (u <= v) == (u < v or u == v)
+    if u == v:
         assert u.letters == v.letters
 
 
 @given(same_alphabet_words(count=3))
 def test_lex_compare_transitivity(triple):
     u, v, x = triple
-    if lex_compare(u, v) <= 0 and lex_compare(v, x) <= 0:
-        assert lex_compare(u, x) <= 0
+    if u <= v and v <= x:
+        assert u <= x
+    if u < v and v < x:
+        assert u < x
 
 
 @given(same_alphabet_words(count=2))
@@ -115,7 +126,8 @@ def test_prefix_sorts_before_extension(pair):
     u, v = pair
     if len(v) > 0:
         extended = Word(u.letters + v.letters, u.q)
-        assert lex_compare(u, extended) == -1
+        assert u < extended
+        assert extended > u and not extended <= u
 
 
 # --- Lyndon test ------------------------------------------------------------
@@ -168,7 +180,7 @@ def _check_roundtrip(word):
     for f in factorization.factors:
         assert is_lyndon(f)
     for a, b in zip(factorization.factors, factorization.factors[1:]):
-        assert lex_compare(a, b) >= 0
+        assert a >= b
 
 
 @pytest.mark.parametrize("q,max_len", [(2, 14), (3, 9)])
@@ -249,8 +261,8 @@ def test_count_matches_enumeration(q):
 
 
 def test_lyndon_count_table():
-    table = lyndon_count_table(2, 6)
-    assert table.counts == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}
+    table = {l: count_lyndon(2, l) for l in range(1, 7)}
+    assert table == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}
 
 
 def test_count_identity_examples():
