@@ -175,6 +175,12 @@ def _cmd_coeffs(args) -> int:
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
     inst = build_instance(args.q, args.m, args.seed, budget=args.budget)
     E = inst.graph.num_edges
+    if args.method in ("orbits", "both"):
+        total = sum(count_strictly_decreasing(args.q, n) for n in range(E + 1))
+        if total > args.budget:
+            raise BudgetExceededError(
+                f"{total} pseudo orbits of lengths 0..{E} exceed budget {args.budget}"
+            )
 
     det_coeffs = orbit_coeffs = None
     if args.method in ("det", "both"):

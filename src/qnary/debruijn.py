@@ -259,7 +259,8 @@ def _pseudo_orbit_tuples(
         pick_lists = [itertools.combinations(pools[l], j) for l, j in profile]
         for picks in itertools.product(*pick_lists):
             out.append(tuple(sorted(itertools.chain.from_iterable(picks), reverse=True)))
-    out.sort(key=lambda words: tuple(itertools.chain.from_iterable(words)))
+    # every item has n letters, so base-q integer order is dictionary order
+    out.sort(key=lambda words: _encode(itertools.chain.from_iterable(words), q))
     return out
 
 

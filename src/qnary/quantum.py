@@ -17,15 +17,14 @@ where an orbit's amplitude is the cyclic product of Sigma entries along its
 edge sequence and its metric length the sum of traversed edge lengths.
 Every call enumerates the pseudo orbits it needs afresh; nothing is cached
 on the instance, so a caller that evaluates many k takes `expansion_terms`
-once.
+once.  numpy is imported inside the functions that compute, so the
+combinatorial commands, which never call them, start without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows, build_graph
 from .words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError
@@ -35,6 +34,8 @@ DEFAULT_MAX_CHARPOLY_DIM = 64
 
 def dft_matrix(q: int) -> np.ndarray:
     """The unitary DFT matrix with entries omega^(jk) / sqrt(q), omega = e^(2 pi i / q)."""
+    import numpy as np
+
     if q < 1:
         raise ValueError(f"size must be at least 1, got {q}")
     j = np.arange(q)
@@ -59,6 +60,8 @@ def assemble_sigma(graph: QNaryGraph) -> ScatteringMatrix:
     first letter of the incoming edge and c the last letter of the outgoing
     one.  The result is unitary (one DFT block per vertex).
     """
+    import numpy as np
+
     q, m = graph.q, graph.m
     V, E = graph.num_vertices, graph.num_edges
     dft = dft_matrix(q)
@@ -87,6 +90,8 @@ def sample_edge_lengths(graph: QNaryGraph, seed: int) -> EdgeLengths:
     rationally independent with probability 1, which is the premise of the
     degeneracy-grouped wavenumber average.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     lengths = 1.0 + rng.random(graph.num_edges)
     lengths.setflags(write=False)
@@ -116,6 +121,8 @@ def build_instance(
 
 def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
     """U(k) = diag(e^{i k l_e}) Sigma, unitary for every real k."""
+    import numpy as np
+
     k = float(k)
     if not math.isfinite(k):
         raise ValueError(f"wavenumber must be finite, got {k}")
@@ -147,6 +154,8 @@ def char_poly_direct(
     coefficient is pinned to its known value 1.  For unitary U the default
     radius 1 keeps all node values within a modest dynamic range.
     """
+    import numpy as np
+
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
@@ -221,6 +230,8 @@ def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndar
     n, where weights[i] = (-1)^(orbit count) * amplitude.  Each call
     enumerates the pseudo orbits anew; the arrays are read-only.
     """
+    import numpy as np
+
     amps, lengths = [], []
     for _, amp, length in _pseudo_orbit_terms(inst, n):
         amps.append(amp)
@@ -234,6 +245,8 @@ def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndar
 
 def coeff_from_pseudo_orbits(n: int, inst: SpectralInstance, k: float) -> complex:
     """Coefficient a_n rebuilt from the primitive pseudo orbits of length n."""
+    import numpy as np
+
     E = inst.graph.num_edges
     if not 0 <= n <= E:
         raise ValueError(f"coefficient index {n} outside 0..{E}")

@@ -31,14 +31,15 @@ orbits of length d, which refuses beyond the budget.  The route depends on
 A Monte-Carlo estimator over uniform k samples cross-checks the pipeline,
 and circular-ensemble reference values (CUE = 1, COE = 1 + n(E-n)/(E+1))
 provide the random-matrix comparison point.
+
+numpy is imported inside the functions that compute, as in `quantum`, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
-import numpy as np
 
 from .quantum import (
     SpectralInstance,
@@ -59,6 +60,8 @@ def diagonal_variance(q: int, n: int) -> float:
 
 def diagonal_variance_from_orbits(inst: SpectralInstance, n: int) -> float:
     """Sum of |amplitude|^2 over the enumerated pseudo orbits of length n."""
+    import numpy as np
+
     weights, _ = expansion_terms(inst, n)
     return float(np.sum(np.abs(weights) ** 2))
 
@@ -108,6 +111,8 @@ def _group_order(q: int, m: int) -> list[int]:
     Start at group 0, then repeatedly take the group that closes the most
     open vertices, the lowest index on ties.
     """
+    import numpy as np
+
     G = q ** (m - 1)
     closes = np.zeros(G, dtype=np.int64)
     done = np.zeros(G, dtype=bool)
@@ -185,6 +190,8 @@ def _balanced_subset_variances(
     Returns None once the live states exceed max_states or their running
     sum over the steps exceeds max_work.
     """
+    import numpy as np
+
     if max_work < q ** (m + 1) or max_states < 1:
         return None  # every edge step costs at least one state
     steps, width = _edge_schedule(q, m)
@@ -262,6 +269,8 @@ def _check_sampling(samples: int, k_max: float) -> None:
 def _sampled_coefficients(inst: SpectralInstance, samples: int, k_max: float, seed: int):
     """The coefficients a_0..a_E at `samples` uniform k draws on [0, k_max],
     one array per draw; deterministic for a given seed."""
+    import numpy as np
+
     _check_sampling(samples, k_max)
     ks = np.random.default_rng(seed).uniform(0.0, k_max, size=samples)
     return (char_poly_direct(evolution_operator(inst, k)).a for k in ks)
@@ -274,6 +283,8 @@ def monte_carlo_variance(
 
     Returns (sample mean, standard error); deterministic for a given seed.
     """
+    import numpy as np
+
     rows = _sampled_coefficients(inst, samples, k_max, seed)
     values = np.array([abs(a[n]) ** 2 for a in rows])
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(samples))
@@ -287,6 +298,8 @@ def monte_carlo_coefficient_means(
     Returns (means, standard errors); the standard error combines real and
     imaginary scatter.  Averaged over k, every a_n with n >= 1 has mean zero.
     """
+    import numpy as np
+
     coeffs = np.array(list(_sampled_coefficients(inst, samples, k_max, seed)))
     means = coeffs.mean(axis=0)
     spread = np.sqrt(np.mean(np.abs(coeffs - means) ** 2, axis=0))

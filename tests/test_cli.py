@@ -20,6 +20,16 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    # a fresh interpreter, so neither a hang nor a memory blow-up can take the
+    # suite with it, and sys.modules starts empty
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 # --- lyndon list ----------------------------------------------------------------
 
 
@@ -184,6 +194,26 @@ def test_coeffs_rejects_q1(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],  # --method both: 2^32 + 1 pseudo orbits of lengths 0..32 against 10^8
+        ["--method", "orbits", "--budget", "1000"],
+    ],
+)
+def test_coeffs_orbit_expansion_over_budget_exits_3_promptly(extra):
+    proc = run_fresh("-m", "qnary", "coeffs", "--q", "2", "--m", "4", "--k", "3.5", *extra)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "exceed budget" in proc.stderr
+
+
+def test_coeffs_det_is_not_bounded_by_the_orbit_count(capsys):
+    code, out, _ = run(capsys, "coeffs", "--q", "2", "--m", "4", "--k", "3.5", "--method", "det")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 33
+
+
 # --- variance ---------------------------------------------------------------------------
 
 
@@ -232,12 +262,8 @@ def test_variance_csv(capsys):
     ],
 )
 def test_variance_over_budget_exits_3_promptly(q, m, n):
-    # a fresh process, so neither a hang nor a memory blow-up can take the suite with it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "qnary", "variance", "--q", str(q), "--m", str(m),
-            "--n", str(n), "--samples", "0"]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    proc = run_fresh("-m", "qnary", "variance", "--q", str(q), "--m", str(m),
+                     "--n", str(n), "--samples", "0")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "exceed budget" in proc.stderr
@@ -304,3 +330,42 @@ def test_golden_output(capsys, name, args):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+# --- start-up ---------------------------------------------------------------------------
+
+NUMPY_FREE_COMMANDS = [
+    (["lyndon", "list", "--q", "2", "--l", "6"], 0),
+    (["factorize", "0110", "--q", "2"], 0),
+    (["count", "--q", "2", "--n", "8", "--mode", "both"], 0),
+    (["orbits", "--q", "2", "--m", "3", "--n", "6"], 0),
+    (["orbits", "--q", "2", "--m", "3", "--n", "4", "--budget", "3"], 3),
+]
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import qnary
+loaded = [name for name in ("words", "debruijn", "quantum", "spectral_stats")
+          if "qnary." + name in sys.modules]
+after_import = "numpy" in sys.modules
+from qnary.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, "numpy" in sys.modules])
+print(json.dumps({"loaded": loaded, "after_import": after_import, "results": results}))
+"""
+
+
+def test_combinatorial_commands_run_without_numpy():
+    # the numerical command last: it must load numpy, which shows the probe can see it
+    commands = NUMPY_FREE_COMMANDS + [(["coeffs", "--q", "2", "--m", "1", "--k", "1.0"], 0)]
+    proc = run_fresh("-c", NUMPY_PROBE, json.dumps([argv for argv, _ in commands]))
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    # every submodule is loaded eagerly; the benchmark tracer looks them up by name
+    assert probe["loaded"] == ["words", "debruijn", "quantum", "spectral_stats"]
+    assert probe["after_import"] is False
+    expected = [[code, False] for _, code in NUMPY_FREE_COMMANDS] + [[0, True]]
+    assert probe["results"] == expected

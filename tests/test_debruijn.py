@@ -189,8 +189,8 @@ def test_pseudo_orbit_count_matches_closed_form(q, max_n):
 
 
 def test_pseudo_orbit_emission_order_is_concatenation_order():
-    for n in range(0, 9):
-        orbits = primitive_pseudo_orbits(2, n)
+    for q, n in [(2, n) for n in range(9)] + [(3, n) for n in range(7)]:
+        orbits = primitive_pseudo_orbits(q, n)
         keys = [po.concatenated().letters for po in orbits]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
