@@ -10,21 +10,29 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
-from .debruijn import primitive_pseudo_orbits
-from .quantum import build_instance, char_poly_direct, coeff_from_pseudo_orbits, evolution_operator
+from .debruijn import build_graph, primitive_pseudo_orbits
+from .quantum import (
+    DEFAULT_MAX_CHARPOLY_DIM,
+    build_instance,
+    char_poly_direct,
+    coeff_from_pseudo_orbits,
+    evolution_operator,
+)
 from .spectral_stats import variance_report
 from .words import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     Word,
+    _display,
+    _lyndon_tuples,
     count_strictly_decreasing,
     count_strictly_decreasing_bruteforce,
     duval_factorize,
     is_strictly_decreasing,
-    lyndon_words,
 )
 
 EXIT_OK = 0
@@ -48,14 +56,22 @@ def _pair(z: complex) -> str:
     return f"({_plain(z.real)}, {_plain(z.imag)})"
 
 
+# Each output goes out in one write: with unbuffered stdout every print is a
+# system call of its own.
+def _emit_lines(lines) -> None:
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _emit_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+    sys.stdout.write(buf.getvalue())
 
 
 def _require(cond: bool, message: str) -> None:
@@ -66,14 +82,13 @@ def _require(cond: bool, message: str) -> None:
 def _cmd_lyndon_list(args) -> int:
     _require(args.q >= 1, f"--q must be at least 1, got {args.q}")
     _require(args.l >= 1, f"--l must be at least 1, got {args.l}")
-    words = [str(w) for w in lyndon_words(args.q, args.l)]
+    words = [_display(t, args.q) for t in _lyndon_tuples(args.q, args.l) if len(t) == args.l]
     if args.format == "json":
         _emit_json(words)
     elif args.format == "csv":
         _emit_csv(["word"], [[w] for w in words])
     else:
-        for w in words:
-            print(w)
+        _emit_lines(words)
     return EXIT_OK
 
 
@@ -98,7 +113,7 @@ def _cmd_factorize(args) -> int:
             [[str(word), args.q, str(factorization), str(strict).lower()]],
         )
     else:
-        print(f"{factorization} strict={str(strict).lower()}")
+        _emit_lines([f"{factorization} strict={str(strict).lower()}"])
     return EXIT_OK
 
 
@@ -139,7 +154,7 @@ def _cmd_count(args) -> int:
             parts.append(f"bruteforce={bruteforce}")
         if agree is not None:
             parts.append(f"agree={str(agree).lower()}")
-        print(" ".join(parts))
+        _emit_lines([" ".join(parts)])
     return EXIT_MISMATCH if agree is False else EXIT_OK
 
 
@@ -164,23 +179,26 @@ def _cmd_orbits(args) -> int:
             [[str(po), po.num_orbits, po.total_length] for po in orbits],
         )
     else:
-        for po in orbits:
-            print(po)
-        print(f"count={len(orbits)}")
+        _emit_lines([*orbits, f"count={len(orbits)}"])
     return EXIT_OK
 
 
 def _cmd_coeffs(args) -> int:
     _require(args.q >= 2, f"--q must be at least 2, got {args.q}")
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
+    # refuse from q and m alone, before Sigma is assembled
+    E = build_graph(args.q, args.m, budget=args.budget).num_edges
+    # the pseudo orbits of lengths 0..E number q^E + 1; q^E > budget once
+    # E exceeds the budget's bit length, so no huge power is built
+    if args.method in ("orbits", "both") and (
+        E > args.budget.bit_length() or args.q**E + 1 > args.budget
+    ):
+        raise BudgetExceededError(
+            f"{args.q}^{E} + 1 pseudo orbits of lengths 0..{E} exceed budget {args.budget}"
+        )
+    if args.method in ("det", "both") and E > DEFAULT_MAX_CHARPOLY_DIM:
+        raise BudgetExceededError(f"dimension {E} exceeds cap {DEFAULT_MAX_CHARPOLY_DIM}")
     inst = build_instance(args.q, args.m, args.seed, budget=args.budget)
-    E = inst.graph.num_edges
-    if args.method in ("orbits", "both"):
-        total = sum(count_strictly_decreasing(args.q, n) for n in range(E + 1))
-        if total > args.budget:
-            raise BudgetExceededError(
-                f"{total} pseudo orbits of lengths 0..{E} exceed budget {args.budget}"
-            )
 
     det_coeffs = orbit_coeffs = None
     if args.method in ("det", "both"):
@@ -214,11 +232,11 @@ def _cmd_coeffs(args) -> int:
             ],
         )
     else:
-        print(f"q={args.q} m={args.m} k={_plain(args.k)} seed={args.seed} method={args.method}")
-        for n, z in enumerate(shown):
-            print(f"a_{n} = {_pair(z)}")
+        lines = [f"q={args.q} m={args.m} k={_plain(args.k)} seed={args.seed} method={args.method}"]
+        lines += [f"a_{n} = {_pair(z)}" for n, z in enumerate(shown)]
         if max_delta is not None:
-            print(f"max_delta={_plain(max_delta)}")
+            lines.append(f"max_delta={_plain(max_delta)}")
+        _emit_lines(lines)
     if max_delta is not None and max_delta > COEFF_MATCH_TOL:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -243,8 +261,10 @@ def _cmd_variance(args) -> int:
         row = [_plain(record[k]) if isinstance(record[k], float) else record[k] for k in keys]
         _emit_csv(keys, [row])
     else:
-        for key, value in record.items():
-            print(f"{key}={_plain(value) if isinstance(value, float) else value}")
+        _emit_lines(
+            f"{key}={_plain(value) if isinstance(value, float) else value}"
+            for key, value in record.items()
+        )
     return EXIT_OK
 
 

@@ -106,9 +106,8 @@ def build_graph(q: int, m: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> QNa
         raise ValueError(f"graph alphabet size must be at least 2, got {q}")
     if m < 1:
         raise ValueError(f"graph order must be at least 1, got {m}")
-    edges = q ** (m + 1)
-    if edges > budget:
-        raise BudgetExceededError(f"{edges} edges exceed budget {budget}")
+    if q ** (m + 1) > budget:
+        raise BudgetExceededError(f"{q}^{m + 1} edges exceed budget {budget}")
     return QNaryGraph(q, m)
 
 
@@ -224,9 +223,9 @@ def _pseudo_orbit_tuples(
         raise ValueError(f"total length must be non-negative, got {n}")
     expected = count_strictly_decreasing(q, n)
     if expected > budget:
-        raise BudgetExceededError(
-            f"{expected} pseudo orbits of length {n} exceed budget {budget}"
-        )
+        # a power for n >= 2: the count can have more digits than int-to-str formats
+        shown = f"{q - 1}*{q}^{n - 1}" if n >= 2 else expected
+        raise BudgetExceededError(f"{shown} pseudo orbits of length {n} exceed budget {budget}")
     if n == 0:
         return [()]
     pools: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]

@@ -30,6 +30,7 @@ from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows,
 from .words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError
 
 DEFAULT_MAX_CHARPOLY_DIM = 64
+_DET_BLOCK_BYTES = 2**20
 
 
 def dft_matrix(q: int) -> np.ndarray:
@@ -165,8 +166,15 @@ def char_poly_direct(
     if N > max_dim:
         raise BudgetExceededError(f"dimension {N} exceeds cap {max_dim}")
     nodes = radius * np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
-    stack = nodes[:, None, None] * np.eye(N)[None, :, :] - U[None, :, :]
-    values = np.linalg.det(stack)
+    # The node matrices are built and factorized a block at a time, so the
+    # transient memory stays near _DET_BLOCK_BYTES, not (N+1) N^2 complex entries.
+    eye = np.eye(N)
+    values = np.empty(N + 1, dtype=complex)
+    step = max(1, _DET_BLOCK_BYTES // (16 * N * N))
+    for lo in range(0, N + 1, step):
+        block = nodes[lo : lo + step, None, None] * eye
+        block -= U
+        values[lo : lo + step] = np.linalg.det(block)
     # values[j] = sum_t b_t e^(2 pi i j t/(N+1)) with b_t = c_t radius^t,
     # where c_t is the xi^t coefficient; fft inverts that relation.
     b = np.fft.fft(values) / (N + 1)

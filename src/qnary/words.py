@@ -25,6 +25,11 @@ class BudgetExceededError(Exception):
     """An enumeration or matrix dimension exceeded its configured budget."""
 
 
+def _display(letters: tuple[int, ...], q: int) -> str:
+    # digits for q <= 10, comma-separated letter indices above
+    return ("" if q <= 10 else ",").join(map(str, letters))
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class Word:
@@ -57,8 +62,7 @@ class Word:
         return cls(tuple(int(ch) for ch in text), q)
 
     def __str__(self):
-        sep = "" if self.q <= 10 else ","
-        return sep.join(str(a) for a in self.letters)
+        return _display(self.letters, self.q)
 
     def __len__(self):
         return len(self.letters)
@@ -91,6 +95,23 @@ def _duval(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
             factors.append(seq[i : i + step])
             i += step
     return factors
+
+
+def _no_repeated_factor(seq: tuple[int, ...]) -> bool:
+    # Duval's scan without building factors.  One outer iteration emits
+    # (k - i) // (j - k) + 1 equal factors and every later factor is smaller,
+    # so the decomposition repeats a factor iff some iteration emits two.
+    n = len(seq)
+    i = 0
+    while i < n:
+        j, k = i + 1, i
+        while j < n and seq[k] <= seq[j]:
+            k = i if seq[k] < seq[j] else k + 1
+            j += 1
+        if k - i >= j - k:
+            return False
+        i += j - k
+    return True
 
 
 def is_lyndon(w: Word) -> bool:
@@ -234,24 +255,15 @@ def count_strictly_decreasing_bruteforce(
     q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> int:
     """Count strictly decreasing standard decompositions by enumerating all
-    q^n words and factorizing each one.  Independent of the closed form."""
+    q^n words and running Duval's scan on each one, which stops at the first
+    repeated factor.  Independent of the closed form."""
     if q < 1:
         raise ValueError(f"alphabet size must be at least 1, got {q}")
     if n < 0:
         raise ValueError(f"word length must be non-negative, got {n}")
-    total_words = q**n
-    if total_words > budget:
-        raise BudgetExceededError(
-            f"enumerating {q}^{n} = {total_words} words exceeds budget {budget}"
-        )
-    if n == 0:
-        return 1
-    count = 0
-    for letters in itertools.product(range(q), repeat=n):
-        factors = _duval(letters)
-        if all(factors[i] > factors[i + 1] for i in range(len(factors) - 1)):
-            count += 1
-    return count
+    if q**n > budget:
+        raise BudgetExceededError(f"enumerating {q}^{n} words exceeds budget {budget}")
+    return sum(map(_no_repeated_factor, itertools.product(range(q), repeat=n)))
 
 
 @dataclass(frozen=True)

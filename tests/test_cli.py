@@ -1,5 +1,7 @@
 """CLI surface: formats, exit codes, determinism, and pinned golden output."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qnary.cli import main
+from qnary.words import lyndon_words
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,16 +36,26 @@ def run_fresh(*argv):
 # --- lyndon list ----------------------------------------------------------------
 
 
+# above ten letters words print comma-separated, as str(Word) does
+Q12_L2 = [str(w) for w in lyndon_words(12, 2)]
+
+
 def test_lyndon_list_plain(capsys):
     code, out, _ = run(capsys, "lyndon", "list", "--q", "2", "--l", "4")
     assert code == 0
     assert out.splitlines() == ["0001", "0011", "0111"]
+    code, out, _ = run(capsys, "lyndon", "list", "--q", "12", "--l", "2")
+    assert code == 0
+    assert out.splitlines() == Q12_L2
 
 
 def test_lyndon_list_json(capsys):
     code, out, _ = run(capsys, "lyndon", "list", "--q", "2", "--l", "4", "--format", "json")
     assert code == 0
     assert json.loads(out) == ["0001", "0011", "0111"]
+    code, out, _ = run(capsys, "lyndon", "list", "--q", "12", "--l", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == Q12_L2
 
 
 def test_lyndon_list_zero_length_is_usage_error(capsys):
@@ -208,6 +221,36 @@ def test_coeffs_orbit_expansion_over_budget_exits_3_promptly(extra):
     assert "exceed budget" in proc.stderr
 
 
+@pytest.mark.parametrize("method", ["det", "orbits"])
+def test_coeffs_refuses_before_building_the_instance(capsys, monkeypatch, method):
+    # E = 2048: past the determinant cap and 2^2048 + 1 pseudo orbits
+    def fail(*args, **kwargs):
+        raise AssertionError("build_instance called before the refusal")
+
+    monkeypatch.setattr("qnary.cli.build_instance", fail)
+    code, out, err = run(capsys, "coeffs", "--q", "2", "--m", "10", "--k", "1", "--method", method)
+    assert code == 3
+    assert out == ""
+    assert "exceed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each refused count has more digits than int-to-str formats by default
+        ["orbits", "--q", "2", "--m", "1", "--n", "20000", "--budget", "1000"],
+        ["count", "--q", "2", "--n", "20000", "--mode", "bruteforce"],
+        ["coeffs", "--q", "2", "--m", "15000", "--k", "1"],
+    ],
+)
+def test_budget_refusal_of_a_huge_count_exits_3(argv):
+    proc = run_fresh("-m", "qnary", *argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "exceed" in proc.stderr and "budget" in proc.stderr
+    assert len(proc.stderr.encode()) < 200
+
+
 def test_coeffs_det_is_not_bounded_by_the_orbit_count(capsys):
     code, out, _ = run(capsys, "coeffs", "--q", "2", "--m", "4", "--k", "3.5", "--method", "det")
     assert code == 0
@@ -310,6 +353,10 @@ def test_lyndon_list_csv(capsys):
     code, out, _ = run(capsys, "lyndon", "list", "--q", "2", "--l", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["word", "001", "011"]
+    code, out, _ = run(capsys, "lyndon", "list", "--q", "12", "--l", "2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["word"]] + [[w] for w in Q12_L2]
 
 
 # --- golden outputs -----------------------------------------------------------------------

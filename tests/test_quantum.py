@@ -6,6 +6,7 @@ pseudo-orbit expansion is checked against the direct determinant route.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,31 @@ def test_char_poly_dimension_cap():
     with pytest.raises(BudgetExceededError):
         char_poly_direct(np.eye(65))
     assert isinstance(char_poly_direct(np.eye(65), max_dim=65), CharPolyCoefficients)
+
+
+@pytest.mark.parametrize("dim", [16, 64, 65])
+def test_char_poly_blocks_match_the_unblocked_stack(dim):
+    # the node matrices are evaluated in blocks; every determinant, and so
+    # every coefficient, must equal the one-stack evaluation bit for bit
+    U = random_unitary(dim, seed=dim)
+    nodes = np.exp(2j * np.pi * np.arange(dim + 1) / (dim + 1))
+    stack = nodes[:, None, None] * np.eye(dim)[None, :, :] - U[None, :, :]
+    b = np.fft.fft(np.linalg.det(stack)) / (dim + 1)
+    expected = b[::-1].copy()
+    expected[0] = 1.0
+    assert np.array_equal(char_poly_direct(U, max_dim=dim).a, expected)
+
+
+def test_char_poly_transient_memory_is_bounded():
+    # the (N+1) x N x N stack of node matrices would take 64.5 MiB at N = 128
+    U = random_unitary(128, seed=5)
+    tracemalloc.start()
+    try:
+        char_poly_direct(U, max_dim=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_char_poly_rejects_non_square():

@@ -14,6 +14,8 @@ import hypothesis.strategies as st
 
 from qnary.words import (
     BudgetExceededError,
+    _duval,
+    _no_repeated_factor,
     LyndonFactorization,
     Word,
     count_lyndon,
@@ -295,6 +297,14 @@ def test_bruteforce_budget_guard():
     assert count_strictly_decreasing_bruteforce(2, 3, budget=8) == 4
     with pytest.raises(BudgetExceededError):
         count_strictly_decreasing_bruteforce(2, 3, budget=7)
+
+
+@pytest.mark.parametrize("q,max_n", [(2, 12), (3, 8), (4, 6)])
+def test_no_repeated_factor_scan_matches_duval_factors(q, max_n):
+    for n in range(max_n + 1):
+        for letters in itertools.product(range(q), repeat=n):
+            factors = _duval(letters)
+            assert _no_repeated_factor(letters) == (len(set(factors)) == len(factors))
 
 
 def test_closed_form_examples():
