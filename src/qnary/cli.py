@@ -9,8 +9,6 @@ output is stable across platforms.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -29,6 +27,7 @@ from .words import (
     Word,
     _display,
     _lyndon_tuples,
+    _power_exceeds,
     count_strictly_decreasing,
     count_strictly_decreasing_bruteforce,
     duval_factorize,
@@ -41,6 +40,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 COEFF_MATCH_TOL = 1e-9
+
+# Python formats ints of at most 4,300 digits by default.  A closed-form count
+# (q-1) q^(n-1), from `count` or in a `variance` record, with more digits exits
+# 3 before any work, in every format, and states the count as a power.
+MAX_COUNT_DIGITS = 4300
 
 
 def _round12(x: float) -> float:
@@ -67,6 +71,9 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header, rows) -> None:
+    import csv  # only CSV output pays for the import
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -77,6 +84,15 @@ def _emit_csv(header, rows) -> None:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _require_printable_count(q: int, n: int) -> None:
+    # (q-1) q^(n-1) < 10^D iff q^(n-1) <= (10^D - 1) // (q-1); 1 and q always fit
+    limit = 10**MAX_COUNT_DIGITS - 1
+    if n >= 2 and q >= 2 and _power_exceeds(q, n - 1, limit // (q - 1)):
+        raise BudgetExceededError(
+            f"count {q - 1}*{q}^{n - 1} has more than {MAX_COUNT_DIGITS} digits"
+        )
 
 
 def _cmd_lyndon_list(args) -> int:
@@ -122,39 +138,23 @@ def _cmd_count(args) -> int:
     _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
     formula = bruteforce = None
     if args.mode in ("formula", "both"):
+        _require_printable_count(args.q, args.n)
         formula = count_strictly_decreasing(args.q, args.n)
     if args.mode in ("bruteforce", "both"):
         bruteforce = count_strictly_decreasing_bruteforce(args.q, args.n, budget=args.budget)
     agree = formula == bruteforce if args.mode == "both" else None
 
+    # the fields the mode computed, in output order; booleans print lowercase
+    fields = {"formula": formula, "bruteforce": bruteforce, "agree": agree}
+    present = {key: value for key, value in fields.items() if value is not None}
+    shown = {key: str(value).lower() for key, value in present.items()}
     if args.format == "json":
-        record = {"q": args.q, "n": args.n, "mode": args.mode}
-        if formula is not None:
-            record["formula"] = formula
-        if bruteforce is not None:
-            record["bruteforce"] = bruteforce
-        if agree is not None:
-            record["agree"] = agree
-        _emit_json(record)
+        _emit_json({"q": args.q, "n": args.n, "mode": args.mode, **present})
     elif args.format == "csv":
-        row = [
-            args.q,
-            args.n,
-            args.mode,
-            "" if formula is None else formula,
-            "" if bruteforce is None else bruteforce,
-            "" if agree is None else str(agree).lower(),
-        ]
-        _emit_csv(["q", "n", "mode", "formula", "bruteforce", "agree"], [row])
+        row = [args.q, args.n, args.mode, *(shown.get(key, "") for key in fields)]
+        _emit_csv(["q", "n", "mode", *fields], [row])
     else:
-        parts = []
-        if formula is not None:
-            parts.append(f"formula={formula}")
-        if bruteforce is not None:
-            parts.append(f"bruteforce={bruteforce}")
-        if agree is not None:
-            parts.append(f"agree={str(agree).lower()}")
-        _emit_lines([" ".join(parts)])
+        _emit_lines([" ".join(f"{key}={value}" for key, value in shown.items())])
     return EXIT_MISMATCH if agree is False else EXIT_OK
 
 
@@ -188,11 +188,9 @@ def _cmd_coeffs(args) -> int:
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
     # refuse from q and m alone, before Sigma is assembled
     E = build_graph(args.q, args.m, budget=args.budget).num_edges
-    # the pseudo orbits of lengths 0..E number q^E + 1; q^E > budget once
-    # E exceeds the budget's bit length, so no huge power is built
-    if args.method in ("orbits", "both") and (
-        E > args.budget.bit_length() or args.q**E + 1 > args.budget
-    ):
+    # the pseudo orbits of lengths 0..E number q^E + 1, refused without
+    # building q^E once bit lengths decide
+    if args.method in ("orbits", "both") and _power_exceeds(args.q, E, args.budget - 1):
         raise BudgetExceededError(
             f"{args.q}^{E} + 1 pseudo orbits of lengths 0..{E} exceed budget {args.budget}"
         )
@@ -247,6 +245,7 @@ def _cmd_variance(args) -> int:
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
     _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
     _require(args.samples >= 0, f"--samples must be non-negative, got {args.samples}")
+    _require_printable_count(args.q, args.n)  # the record's pseudo_orbit_count
     report = variance_report(
         args.q, args.m, args.n, seed=args.seed, samples=args.samples, k_max=args.k_max
     )

@@ -23,24 +23,18 @@ only where a caller asks for them.  Nothing is cached between calls.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .words import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     Word,
+    _Frozen,
     _lyndon_tuples,
+    _power_exceeds,
     count_strictly_decreasing,
     is_lyndon,
     lyndon_words,
 )
-
-
-def _decode(value: int, length: int, q: int) -> tuple[int, ...]:
-    letters = [0] * length
-    for pos in range(length - 1, -1, -1):
-        value, letters[pos] = divmod(value, q)
-    return tuple(letters)
 
 
 def _encode(letters, q: int) -> int:
@@ -50,18 +44,17 @@ def _encode(letters, q: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class QNaryGraph:
+class QNaryGraph(_Frozen):
     """Directed graph on the length-m words over q letters."""
 
-    q: int
-    m: int
+    __slots__ = ("q", "m")
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"graph alphabet size must be at least 2, got {self.q}")
-        if self.m < 1:
-            raise ValueError(f"graph order must be at least 1, got {self.m}")
+    def __init__(self, q: int, m: int):
+        if q < 2:
+            raise ValueError(f"graph alphabet size must be at least 2, got {q}")
+        if m < 1:
+            raise ValueError(f"graph order must be at least 1, got {m}")
+        self._set(q, m)
 
     @property
     def num_vertices(self) -> int:
@@ -77,38 +70,13 @@ class QNaryGraph:
     def edge_terminus(self, e: int) -> int:
         return e % self.num_vertices
 
-    def vertex_word(self, v: int) -> Word:
-        return Word(_decode(v, self.m, self.q), self.q)
-
-    def edge_word(self, e: int) -> Word:
-        return Word(_decode(e, self.m + 1, self.q), self.q)
-
-    def vertex_index(self, w: Word) -> int:
-        if w.q != self.q or len(w) != self.m:
-            raise ValueError(f"expected a length-{self.m} word over {self.q} letters")
-        return _encode(w.letters, self.q)
-
-    def edge_index(self, w: Word) -> int:
-        if w.q != self.q or len(w) != self.m + 1:
-            raise ValueError(f"expected a length-{self.m + 1} word over {self.q} letters")
-        return _encode(w.letters, self.q)
-
-    def out_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(range(v * self.q, (v + 1) * self.q))
-
-    def in_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(b * self.num_vertices + v for b in range(self.q))
-
 
 def build_graph(q: int, m: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> QNaryGraph:
     """Construct the order-m q-nary graph, guarding the edge count."""
-    if q < 2:
-        raise ValueError(f"graph alphabet size must be at least 2, got {q}")
-    if m < 1:
-        raise ValueError(f"graph order must be at least 1, got {m}")
-    if q ** (m + 1) > budget:
+    graph = QNaryGraph(q, m)
+    if _power_exceeds(q, m + 1, budget):
         raise BudgetExceededError(f"{q}^{m + 1} edges exceed budget {budget}")
-    return QNaryGraph(q, m)
+    return graph
 
 
 def _windows(letters: tuple[int, ...], q: int, width: int) -> tuple[int, ...]:
@@ -123,15 +91,15 @@ def _windows(letters: tuple[int, ...], q: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
+class PeriodicOrbit(_Frozen):
     """Primitive closed walk, canonicalized by its Lyndon representative."""
 
-    word: Word
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        if len(self.word) == 0 or not is_lyndon(self.word):
-            raise ValueError(f"orbit representative {self.word} is not a Lyndon word")
+    def __init__(self, word: Word):
+        if len(word) == 0 or not is_lyndon(word):
+            raise ValueError(f"orbit representative {word} is not a Lyndon word")
+        self._set(word)
 
     @property
     def topological_length(self) -> int:
@@ -154,21 +122,20 @@ def primitive_periodic_orbits(q: int, l: int) -> list[PeriodicOrbit]:
     return [PeriodicOrbit(w) for w in lyndon_words(q, l)]
 
 
-@dataclass(frozen=True)
-class PseudoOrbit:
+class PseudoOrbit(_Frozen):
     """A set of distinct primitive orbits, stored in strictly decreasing order."""
 
-    orbits: tuple[PeriodicOrbit, ...]
-    q: int
+    __slots__ = ("orbits", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "orbits", tuple(self.orbits))
-        for o in self.orbits:
-            if o.word.q != self.q:
+    def __init__(self, orbits: tuple[PeriodicOrbit, ...], q: int):
+        orbits = tuple(orbits)
+        for o in orbits:
+            if o.word.q != q:
                 raise ValueError("orbit alphabet size differs from pseudo orbit")
-        for a, b in zip(self.orbits, self.orbits[1:]):
+        for a, b in zip(orbits, orbits[1:]):
             if not a.word.letters > b.word.letters:  # one alphabet, checked above
                 raise ValueError("orbits must be distinct and strictly decreasing")
+        self._set(orbits, q)
 
     @classmethod
     def from_orbits(cls, orbits, q: int) -> PseudoOrbit:
@@ -212,20 +179,22 @@ def primitive_pseudo_orbits(
     return [PseudoOrbit(tuple(orbits[t] for t in words), q) for words in items]
 
 
+def _check_pseudo_orbit_budget(q: int, n: int, budget: int) -> None:
+    """Refuse when the pseudo orbits of length n exceed the budget.  Their
+    count (q-1) q^(n-1) is at least q^(n-1), so past the budget it is
+    neither built nor printed: the message states it as a power."""
+    huge = n >= 2 and q >= 2 and _power_exceeds(q, n - 1, budget)
+    if huge or count_strictly_decreasing(q, n) > budget:
+        shown = f"{q - 1}*{q}^{n - 1}" if n >= 2 else q**n
+        raise BudgetExceededError(f"{shown} pseudo orbits of length {n} exceed budget {budget}")
+
+
 def _pseudo_orbit_tuples(
     q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> list[tuple[tuple[int, ...], ...]]:
     """The pseudo orbits of length n as strictly decreasing tuples of Lyndon
     letter tuples, in the order of `primitive_pseudo_orbits`."""
-    if q < 1:
-        raise ValueError(f"alphabet size must be at least 1, got {q}")
-    if n < 0:
-        raise ValueError(f"total length must be non-negative, got {n}")
-    expected = count_strictly_decreasing(q, n)
-    if expected > budget:
-        # a power for n >= 2: the count can have more digits than int-to-str formats
-        shown = f"{q - 1}*{q}^{n - 1}" if n >= 2 else expected
-        raise BudgetExceededError(f"{shown} pseudo orbits of length {n} exceed budget {budget}")
+    _check_pseudo_orbit_budget(q, n, budget)
     if n == 0:
         return [()]
     pools: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]

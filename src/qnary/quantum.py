@@ -24,10 +24,9 @@ combinatorial commands, which never call them, start without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows, build_graph
-from .words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError
+from .words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, _Frozen
 
 DEFAULT_MAX_CHARPOLY_DIM = 64
 _DET_BLOCK_BYTES = 2**20
@@ -44,17 +43,9 @@ def dft_matrix(q: int) -> np.ndarray:
     return np.exp(1j * phase) / np.sqrt(q)
 
 
-@dataclass(frozen=True, eq=False)
-class ScatteringMatrix:
-    """Dense E x E vertex-scattering assembly for one graph."""
-
-    q: int
-    m: int
-    entries: np.ndarray
-
-
-def assemble_sigma(graph: QNaryGraph) -> ScatteringMatrix:
-    """Assemble Sigma: entry (e, e') is nonzero iff terminus(e') = origin(e).
+def assemble_sigma(graph: QNaryGraph) -> np.ndarray:
+    """Assemble the dense, read-only E x E matrix Sigma: entry (e, e') is
+    nonzero iff terminus(e') = origin(e).
 
     At vertex w = a_1..a_m the incoming edge b.a_1..a_m and outgoing edge
     a_1..a_m.c couple with amplitude omega^(b c) / sqrt(q), where b is the
@@ -63,7 +54,7 @@ def assemble_sigma(graph: QNaryGraph) -> ScatteringMatrix:
     """
     import numpy as np
 
-    q, m = graph.q, graph.m
+    q = graph.q
     V, E = graph.num_vertices, graph.num_edges
     dft = dft_matrix(q)
     entries = np.zeros((E, E), dtype=complex)
@@ -73,19 +64,12 @@ def assemble_sigma(graph: QNaryGraph) -> ScatteringMatrix:
             for c in range(q):
                 entries[v * q + c, e_in] = dft[c, b]
     entries.setflags(write=False)
-    return ScatteringMatrix(q=q, m=m, entries=entries)
+    return entries
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeLengths:
-    """Positive edge lengths in [1, 2), with the seed that generated them."""
-
-    lengths: np.ndarray
-    seed: int
-
-
-def sample_edge_lengths(graph: QNaryGraph, seed: int) -> EdgeLengths:
-    """Draw E i.i.d. lengths uniform on [1, 2) from numpy's PCG64 generator.
+def sample_edge_lengths(graph: QNaryGraph, seed: int) -> np.ndarray:
+    """Draw E i.i.d. lengths uniform on [1, 2) from numpy's PCG64 generator,
+    as a read-only array.
 
     The same seed reproduces the same vector bit for bit.  Random draws are
     rationally independent with probability 1, which is the premise of the
@@ -96,16 +80,20 @@ def sample_edge_lengths(graph: QNaryGraph, seed: int) -> EdgeLengths:
     rng = np.random.default_rng(seed)
     lengths = 1.0 + rng.random(graph.num_edges)
     lengths.setflags(write=False)
-    return EdgeLengths(lengths=lengths, seed=int(seed))
+    return lengths
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralInstance:
-    """A quantized graph: topology, scattering matrix, and edge lengths."""
+class SpectralInstance(_Frozen):
+    """A quantized graph: its topology, the read-only arrays Sigma (E x E)
+    and edge lengths (E), and the seed that drew the lengths.  Instances
+    compare by identity."""
 
-    graph: QNaryGraph
-    sigma: ScatteringMatrix
-    lengths: EdgeLengths
+    __slots__ = ("graph", "sigma", "lengths", "seed")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, graph: QNaryGraph, sigma: np.ndarray, lengths: np.ndarray, seed: int):
+        self._set(graph, sigma, lengths, seed)
 
 
 def build_instance(
@@ -113,11 +101,8 @@ def build_instance(
 ) -> SpectralInstance:
     """Convenience constructor: graph, Sigma, and seeded edge lengths."""
     graph = build_graph(q, m, budget=budget)
-    return SpectralInstance(
-        graph=graph,
-        sigma=assemble_sigma(graph),
-        lengths=sample_edge_lengths(graph, seed),
-    )
+    lengths = sample_edge_lengths(graph, seed)
+    return SpectralInstance(graph, assemble_sigma(graph), lengths, int(seed))
 
 
 def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
@@ -127,19 +112,20 @@ def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
     k = float(k)
     if not math.isfinite(k):
         raise ValueError(f"wavenumber must be finite, got {k}")
-    phases = np.exp(1j * k * inst.lengths.lengths)
-    return phases[:, None] * inst.sigma.entries
+    phases = np.exp(1j * k * inst.lengths)
+    return phases[:, None] * inst.sigma
 
 
-@dataclass(frozen=True, eq=False)
-class CharPolyCoefficients:
-    """Coefficients of det(xi I - U): a[n] multiplies xi^(N-n), a[0] = 1."""
+class CharPolyCoefficients(_Frozen):
+    """Coefficients of det(xi I - U): a[n] multiplies xi^(N-n), a[0] = 1.
+    Compared by identity."""
 
-    a: np.ndarray
+    __slots__ = ("a",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    @property
-    def dim(self) -> int:
-        return len(self.a) - 1
+    def __init__(self, a: np.ndarray):
+        self._set(a)
 
 
 def char_poly_direct(
@@ -183,17 +169,18 @@ def char_poly_direct(
     a = b[::-1].copy()
     a[0] = 1.0
     a.setflags(write=False)
-    return CharPolyCoefficients(a=a)
+    return CharPolyCoefficients(a)
 
 
-def orbit_amplitude(orbit: PeriodicOrbit, sigma: ScatteringMatrix) -> complex:
-    """Cyclic product of Sigma entries along the orbit's edge sequence.
+def orbit_amplitude(orbit: PeriodicOrbit, inst: SpectralInstance) -> complex:
+    """Cyclic product of Sigma entries along the orbit's edge sequence on
+    the instance's graph.
 
     The modulus is always q^(-length/2), one factor 1/sqrt(q) per step.
     """
-    if orbit.word.q != sigma.q:
-        raise ValueError("orbit and scattering matrix alphabet sizes differ")
-    return _walk_amplitude(orbit.edge_sequence(sigma.m), sigma.entries)
+    if orbit.word.q != inst.graph.q:
+        raise ValueError("orbit and graph alphabet sizes differ")
+    return _walk_amplitude(orbit.edge_sequence(inst.graph.m), inst.sigma)
 
 
 def _walk_amplitude(edges: tuple[int, ...], S: np.ndarray) -> complex:
@@ -213,7 +200,7 @@ def _pseudo_orbit_terms(inst: SpectralInstance, n: int):
     per call.
     """
     q, m = inst.graph.q, inst.graph.m
-    S, ell = inst.sigma.entries, inst.lengths.lengths
+    S, ell = inst.sigma, inst.lengths
     orbits: dict[tuple[int, ...], tuple[tuple[int, ...], complex, float]] = {}
     for words in _pseudo_orbit_tuples(q, n):
         walk: list[int] = []

@@ -25,8 +25,9 @@ equal metric length.  Three routes evaluate it:
 over the balanced edge sets while the DP's work stays within the number of
 pseudo orbits of length d and its live states within the default
 enumeration budget over E(d+1); past either limit it groups the pseudo
-orbits of length d, which refuses beyond the budget.  The route depends on
-(q, m, n) alone.
+orbits of length d, which refuses beyond the budget.  The route and the
+refusal depend on (q, m, n) alone, so `variance_report` decides both before
+it assembles Sigma.
 
 A Monte-Carlo estimator over uniform k samples cross-checks the pipeline,
 and circular-ensemble reference values (CUE = 1, COE = 1 + n(E-n)/(E+1))
@@ -39,9 +40,10 @@ importing the package does not load it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
+from .debruijn import QNaryGraph, _check_pseudo_orbit_budget, build_graph
 from .quantum import (
+    DEFAULT_MAX_CHARPOLY_DIM,
     SpectralInstance,
     _pseudo_orbit_terms,
     build_instance,
@@ -50,7 +52,13 @@ from .quantum import (
     evolution_operator,
     expansion_terms,
 )
-from .words import DEFAULT_ENUMERATION_BUDGET, count_strictly_decreasing
+from .words import (
+    DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceededError,
+    _Frozen,
+    _power_exceeds,
+    count_strictly_decreasing,
+)
 
 
 def diagonal_variance(q: int, n: int) -> float:
@@ -76,20 +84,31 @@ def exact_grouped_variance(inst: SpectralInstance, n: int) -> float:
     grouped instead, which raises BudgetExceededError when they exceed the
     default budget.
     """
-    E = inst.graph.num_edges
+    return _exact_variance(inst.graph, n, lambda: inst)
+
+
+def _exact_variance(graph: QNaryGraph, n: int, instance) -> float:
+    """`exact_grouped_variance` on the graph.  The DP needs only q and m;
+    `instance()` gives the SpectralInstance to group on, and is called only
+    after a grouping over the default budget has been refused."""
+    q, E = graph.q, graph.num_edges
     if not 0 <= n <= E:
         raise ValueError(f"coefficient index {n} outside 0..{E}")
-    q, d = inst.graph.q, min(n, E - n)
+    d = min(n, E - n)
+    # the DP's work is at most E * max_states <= the budget, so a max_work past
+    # the budget acts as the budget does, and a count past it is not built
+    huge = d >= 2 and _power_exceeds(q, d - 1, DEFAULT_ENUMERATION_BUDGET)
     variances = _balanced_subset_variances(
         q,
-        inst.graph.m,
+        graph.m,
         d,
-        max_work=count_strictly_decreasing(q, d),
+        max_work=DEFAULT_ENUMERATION_BUDGET if huge else count_strictly_decreasing(q, d),
         max_states=DEFAULT_ENUMERATION_BUDGET // (E * (d + 1)),
     )
-    if variances is None:
-        return _grouped_variance(inst, d)
-    return float(variances[d])
+    if variances is not None:
+        return float(variances[d])
+    _check_pseudo_orbit_budget(q, d, DEFAULT_ENUMERATION_BUDGET)
+    return _grouped_variance(instance(), d)
 
 
 def _grouped_variance(inst: SpectralInstance, n: int) -> float:
@@ -318,42 +337,27 @@ def rmt_reference(ensemble: str, n: int, dim: int) -> float:
     raise ValueError(f"unknown ensemble {ensemble!r}, expected CUE or COE")
 
 
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(_Frozen):
     """One coefficient-variance record, JSON-serializable via to_dict()."""
 
-    q: int
-    m: int
-    n: int
-    seed: int
-    samples: int
-    pseudo_orbit_count: int
-    diag: float
-    exact_grouped: float
-    cue_ref: float
-    coe_ref: float
-    mc_estimate: float | None = None
-    mc_std_error: float | None = None
-    k_max: float | None = None
+    __slots__ = (
+        "q", "m", "n", "seed", "samples", "pseudo_orbit_count", "diag", "exact_grouped",
+        "cue_ref", "coe_ref", "mc_estimate", "mc_std_error", "k_max",
+    )
+
+    def __init__(
+        self, q: int, m: int, n: int, seed: int, samples: int, pseudo_orbit_count: int,
+        diag: float, exact_grouped: float, cue_ref: float, coe_ref: float,
+        mc_estimate: float | None = None, mc_std_error: float | None = None,
+        k_max: float | None = None,
+    ):
+        self._set(q, m, n, seed, samples, pseudo_orbit_count, diag, exact_grouped,
+                  cue_ref, coe_ref, mc_estimate, mc_std_error, k_max)
 
     def to_dict(self) -> dict:
-        out = {
-            "q": self.q,
-            "m": self.m,
-            "n": self.n,
-            "seed": self.seed,
-            "samples": self.samples,
-            "pseudo_orbit_count": self.pseudo_orbit_count,
-            "diag": self.diag,
-            "exact_grouped": self.exact_grouped,
-            "cue_ref": self.cue_ref,
-            "coe_ref": self.coe_ref,
-        }
-        if self.samples > 0:
-            out["mc_estimate"] = self.mc_estimate
-            out["mc_std_error"] = self.mc_std_error
-            out["k_max"] = self.k_max
-        return out
+        # the last three fields, the Monte-Carlo ones, only when sampled
+        names = self.__slots__ if self.samples > 0 else self.__slots__[:-3]
+        return {name: getattr(self, name) for name in names}
 
 
 def variance_report(
@@ -366,27 +370,24 @@ def variance_report(
 ) -> VarianceReport:
     """Assemble diagonal, exact-grouped, optional Monte-Carlo, and reference
     values for one (q, m, n) configuration.  Monte-Carlo fields are filled
-    only when samples > 0; samples must be 0 or at least 2."""
+    only when samples > 0; samples must be 0 or at least 2.
+
+    Every refusal comes before Sigma is assembled: the determinant cap when
+    sampling, then the exact value's route, which needs only q and m.  The
+    instance is built only to group pseudo orbits or to sample."""
     if samples != 0:
         _check_sampling(samples, k_max)
-    inst = build_instance(q, m, seed)
-    E = inst.graph.num_edges
-    exact = exact_grouped_variance(inst, n)  # before sampling: it may refuse
+    graph = build_graph(q, m)
+    E = graph.num_edges
+    if samples > 0 and E > DEFAULT_MAX_CHARPOLY_DIM:
+        raise BudgetExceededError(f"dimension {E} exceeds cap {DEFAULT_MAX_CHARPOLY_DIM}")
+    exact = _exact_variance(graph, n, lambda: build_instance(q, m, seed))
     mc_estimate = mc_std_error = None
     if samples > 0:
+        inst = build_instance(q, m, seed)
         mc_estimate, mc_std_error = monte_carlo_variance(inst, n, samples, k_max, seed)
     return VarianceReport(
-        q=q,
-        m=m,
-        n=n,
-        seed=seed,
-        samples=samples,
-        pseudo_orbit_count=count_strictly_decreasing(q, n),
-        diag=diagonal_variance(q, n),
-        exact_grouped=exact,
-        cue_ref=rmt_reference("CUE", n, E),
-        coe_ref=rmt_reference("COE", n, E),
-        mc_estimate=mc_estimate,
-        mc_std_error=mc_std_error,
-        k_max=k_max if samples > 0 else None,
+        q, m, n, seed, samples, count_strictly_decreasing(q, n), diagonal_variance(q, n),
+        exact, rmt_reference("CUE", n, E), rmt_reference("COE", n, E),
+        mc_estimate, mc_std_error, k_max if samples > 0 else None,
     )

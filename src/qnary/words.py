@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -25,31 +24,78 @@ class BudgetExceededError(Exception):
     """An enumeration or matrix dimension exceeded its configured budget."""
 
 
+def _power_exceeds(q: int, n: int, limit: int) -> bool:
+    """q**n > limit for q >= 1, n >= 0, decided from bit lengths when they
+    suffice, so a refused power is never built."""
+    if n * (q.bit_length() - 1) >= limit.bit_length():
+        return True  # q^n >= 2^(n (bitlen(q) - 1)) >= 2^bitlen(limit) > limit
+    return q**n > limit
+
+
+class _Frozen:
+    """Base of the package's value types.
+
+    A subclass names its fields in __slots__ and fills them in __init__ with
+    `_set`; afterwards assignment raises AttributeError.  Equality, hashing,
+    repr and pickling run over the fields in slot order, which is also the
+    order of the subclass's __init__ parameters.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since assignment is refused
+        return type(self), self._values()
+
+
 def _display(letters: tuple[int, ...], q: int) -> str:
     # digits for q <= 10, comma-separated letter indices above
     return ("" if q <= 10 else ",").join(map(str, letters))
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """Immutable word over the alphabet {0, ..., q-1}.
 
     Words over the same alphabet size are totally ordered in dictionary
     order; comparing words with different ``q`` raises ``ValueError``.
     """
 
-    letters: tuple[int, ...]
-    q: int
+    __slots__ = ("letters", "q")
 
-    def __post_init__(self):
-        if type(self.letters) is not tuple:
-            object.__setattr__(self, "letters", tuple(self.letters))
-        if self.q < 1:
-            raise ValueError(f"alphabet size must be at least 1, got {self.q}")
-        if self.letters and not 0 <= min(self.letters) <= max(self.letters) < self.q:
-            bad = next(a for a in self.letters if not 0 <= a < self.q)
-            raise ValueError(f"letter {bad} outside alphabet of size {self.q}")
+    def __init__(self, letters: tuple[int, ...], q: int):
+        letters = tuple(letters)
+        if q < 1:
+            raise ValueError(f"alphabet size must be at least 1, got {q}")
+        if letters and not 0 <= min(letters) <= max(letters) < q:
+            bad = next(a for a in letters if not 0 <= a < q)
+            raise ValueError(f"letter {bad} outside alphabet of size {q}")
+        self._set(letters, q)
 
     @classmethod
     def from_string(cls, text: str, q: int) -> Word:
@@ -125,25 +171,25 @@ def is_lyndon(w: Word) -> bool:
     return len(_duval(w.letters)) == 1
 
 
-@dataclass(frozen=True)
-class LyndonFactorization:
+class LyndonFactorization(_Frozen):
     """A standard decomposition: non-increasing Lyndon factors."""
 
-    factors: tuple[Word, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __init__(self, factors: tuple[Word, ...]):
+        factors = tuple(factors)
+        if not factors:
             raise ValueError("a factorization needs at least one factor")
-        q = self.factors[0].q
-        for f in self.factors:
+        q = factors[0].q
+        for f in factors:
             if f.q != q:
                 raise ValueError("all factors must share one alphabet size")
             if not is_lyndon(f):
                 raise ValueError(f"factor {f} is not a Lyndon word")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if a < b:
                 raise ValueError("factors must be non-increasing")
+        self._set(factors)
 
     def concatenated(self) -> Word:
         letters = tuple(a for f in self.factors for a in f.letters)
@@ -261,23 +307,14 @@ def count_strictly_decreasing_bruteforce(
         raise ValueError(f"alphabet size must be at least 1, got {q}")
     if n < 0:
         raise ValueError(f"word length must be non-negative, got {n}")
-    if q**n > budget:
+    if _power_exceeds(q, n, budget):
         raise BudgetExceededError(f"enumerating {q}^{n} words exceeds budget {budget}")
     return sum(map(_no_repeated_factor, itertools.product(range(q), repeat=n)))
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Exact integer coefficients of degrees 0..order of a truncated series."""
-
-    q: int
-    order: int
-    coeffs: tuple[int, ...]
-
-
-def lyndon_subset_series(q: int, order: int) -> SeriesTruncation:
+def lyndon_subset_series(q: int, order: int) -> tuple[int, ...]:
     """Expand prod_{l=1}^{order} (1 + x^l)^{L_q(l)} truncated at the given
-    degree, with exact integer coefficients.
+    degree: the exact integer coefficients of degrees 0..order.
 
     Coefficient n counts the sets of distinct Lyndon words of total length n,
     which are exactly the strictly decreasing standard decompositions.
@@ -300,4 +337,4 @@ def lyndon_subset_series(q: int, order: int) -> SeriesTruncation:
             for j in range((order - deg) // l + 1):
                 expanded[deg + j * l] += c * math.comb(reps, j)
         coeffs = expanded
-    return SeriesTruncation(q, order, tuple(coeffs))
+    return tuple(coeffs)

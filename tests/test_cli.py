@@ -23,13 +23,13 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
-def run_fresh(*argv):
+def run_fresh(*argv, timeout=60):
     # a fresh interpreter, so neither a hang nor a memory blow-up can take the
     # suite with it, and sys.modules starts empty
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -251,6 +251,40 @@ def test_budget_refusal_of_a_huge_count_exits_3(argv):
     assert len(proc.stderr.encode()) < 200
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "3", "--n", "1000000000", "--mode", "bruteforce"],
+        ["orbits", "--q", "3", "--m", "1", "--n", "1000000000"],
+    ],
+)
+def test_refusal_of_a_huge_power_is_decided_by_bit_length(argv):
+    # building 3^(10^9) exactly would take minutes; the refusal must not
+    proc = run_fresh("-m", "qnary", *argv, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "3^" in proc.stderr and "exceed" in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("mode", ["formula", "both"])
+def test_count_with_more_digits_than_int_to_str_formats_exits_3(capsys, mode, fmt):
+    # (q-1) q^(n-1) is printed up to 4300 digits and refused as a power past that
+    code, out, err = run(capsys, "count", "--q", "2", "--n", "20000", "--mode", mode,
+                         "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err == "error: count 1*2^19999 has more than 4300 digits\n"
+    code, out, _ = run(capsys, "count", "--q", "10", "--n", "4300", "--mode", "formula",
+                       "--format", fmt)
+    assert code == 0
+    assert "9" + "0" * 4299 in out
+    code, _, err = run(capsys, "count", "--q", "10", "--n", "4301", "--mode", mode,
+                       "--format", fmt)
+    assert code == 3
+    assert "9*10^4300" in err
+
+
 def test_coeffs_det_is_not_bounded_by_the_orbit_count(capsys):
     code, out, _ = run(capsys, "coeffs", "--q", "2", "--m", "4", "--k", "3.5", "--method", "det")
     assert code == 0
@@ -310,6 +344,38 @@ def test_variance_over_budget_exits_3_promptly(q, m, n):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "exceed budget" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # E = 128 is past the determinant cap that sampling needs
+        (["--m", "6", "--n", "3", "--samples", "10"], "dimension 128 exceeds cap 64"),
+        # the DP gives up at d = 600, and 2^599 pseudo orbits are over budget
+        (["--m", "11", "--n", "600", "--samples", "0"], "1*2^599 pseudo orbits"),
+    ],
+    ids=["determinant-cap", "grouping-budget"],
+)
+def test_variance_refuses_before_building_the_instance(capsys, monkeypatch, argv, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("Sigma assembled before the refusal")
+
+    monkeypatch.setattr("qnary.spectral_stats.build_instance", fail)
+    if "--samples" in argv and argv[argv.index("--samples") + 1] != "0":
+        # the cap is known from q and m, so not even the exact value is computed
+        monkeypatch.setattr("qnary.spectral_stats._exact_variance", fail)
+    code, out, err = run(capsys, "variance", "--q", "2", *argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+def test_variance_with_more_digits_than_int_to_str_formats_exits_3(capsys):
+    # the record's pseudo_orbit_count 2^16383 follows the count command's rule
+    code, out, err = run(capsys, "variance", "--q", "2", "--m", "14", "--n", "16384")
+    assert code == 3
+    assert out == ""
+    assert "count 1*2^16383 has more than 4300 digits" in err
 
 
 def test_variance_beyond_pseudo_orbit_budget(capsys):
@@ -384,35 +450,52 @@ def test_golden_output(capsys, name, args):
 NUMPY_FREE_COMMANDS = [
     (["lyndon", "list", "--q", "2", "--l", "6"], 0),
     (["factorize", "0110", "--q", "2"], 0),
+    (["factorize", "0", "--q", "2", "--format", "json"], 0),
     (["count", "--q", "2", "--n", "8", "--mode", "both"], 0),
     (["orbits", "--q", "2", "--m", "3", "--n", "6"], 0),
     (["orbits", "--q", "2", "--m", "3", "--n", "4", "--budget", "3"], 3),
 ]
 
+# Each entry reports which of these modules the process has loaded that the
+# interpreter had not loaded before the probe began.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
+watched = ("numpy", "dataclasses", "inspect", "csv")
+preloaded = set(sys.modules)
+def new():
+    return [name for name in watched if name in sys.modules and name not in preloaded]
 import qnary
 loaded = [name for name in ("words", "debruijn", "quantum", "spectral_stats")
           if "qnary." + name in sys.modules]
-after_import = "numpy" in sys.modules
+after_import = new()
+import qnary.__main__
 from qnary.cli import main
+after_cli_import = new()
 results = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    results.append([code, "numpy" in sys.modules])
-print(json.dumps({"loaded": loaded, "after_import": after_import, "results": results}))
+    results.append([code, new()])
+print(json.dumps({"loaded": loaded, "after_import": after_import,
+                  "after_cli_import": after_cli_import, "results": results}))
 """
 
 
 def test_combinatorial_commands_run_without_numpy():
-    # the numerical command last: it must load numpy, which shows the probe can see it
-    commands = NUMPY_FREE_COMMANDS + [(["coeffs", "--q", "2", "--m", "1", "--k", "1.0"], 0)]
+    # then a CSV command, which alone loads csv, and last the numerical one: it
+    # must load numpy, which shows the probe can see it
+    commands = NUMPY_FREE_COMMANDS + [
+        (["lyndon", "list", "--q", "2", "--l", "4", "--format", "csv"], 0),
+        (["coeffs", "--q", "2", "--m", "1", "--k", "1.0"], 0),
+    ]
     proc = run_fresh("-c", NUMPY_PROBE, json.dumps([argv for argv, _ in commands]))
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
     # every submodule is loaded eagerly; the benchmark tracer looks them up by name
     assert probe["loaded"] == ["words", "debruijn", "quantum", "spectral_stats"]
-    assert probe["after_import"] is False
-    expected = [[code, False] for _, code in NUMPY_FREE_COMMANDS] + [[0, True]]
-    assert probe["results"] == expected
+    # the value types are plain __slots__ classes: no dataclasses, so no inspect
+    assert probe["after_import"] == probe["after_cli_import"] == []
+    expected = [[code, []] for _, code in NUMPY_FREE_COMMANDS] + [[0, ["csv"]]]
+    assert probe["results"][:-1] == expected
+    code, loaded = probe["results"][-1]
+    assert code == 0 and "numpy" in loaded

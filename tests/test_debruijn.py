@@ -29,6 +29,11 @@ def w(text, q=2):
     return Word.from_string(text, q)
 
 
+def index(text, q=2):
+    # vertex and edge indices are the base-q values of their words
+    return int(text, q)
+
+
 # --- graph structure ----------------------------------------------------------
 
 
@@ -36,18 +41,18 @@ def test_graph_binary_order_3():
     g = build_graph(2, 3)
     assert g.num_vertices == 8
     assert g.num_edges == 16
-    e = g.edge_index(w("0001"))
-    assert g.edge_origin(e) == g.vertex_index(w("000"))
-    assert g.edge_terminus(e) == g.vertex_index(w("001"))
+    e = index("0001")
+    assert g.edge_origin(e) == index("000")
+    assert g.edge_terminus(e) == index("001")
 
 
 def test_graph_ternary_order_2():
     g = build_graph(3, 2)
     assert g.num_vertices == 9
     assert g.num_edges == 27
-    e = g.edge_index(w("120", q=3))
-    assert g.edge_origin(e) == g.vertex_index(w("12", q=3))
-    assert g.edge_terminus(e) == g.vertex_index(w("20", q=3))
+    e = index("120", q=3)
+    assert g.edge_origin(e) == index("12", q=3)
+    assert g.edge_terminus(e) == index("20", q=3)
 
 
 def test_graph_binary_order_1():
@@ -65,31 +70,24 @@ def test_graph_validation_and_budget():
         build_graph(2, 3, budget=15)
 
 
-def test_edge_word_index_roundtrip():
-    g = build_graph(3, 2)
-    for e in range(g.num_edges):
-        assert g.edge_index(g.edge_word(e)) == e
-    for v in range(g.num_vertices):
-        assert g.vertex_index(g.vertex_word(v)) == v
-
-
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_degrees_and_connectivity(q, m):
     g = build_graph(q, m)
-    for v in range(g.num_vertices):
-        out = g.out_edges(v)
-        assert len(out) == q
-        assert all(g.edge_origin(e) == v for e in out)
-        inc = g.in_edges(v)
-        assert len(inc) == q
-        assert all(g.edge_terminus(e) == v for e in inc)
+    out_edges = [[] for _ in range(g.num_vertices)]
+    in_degree = [0] * g.num_vertices
+    for e in range(g.num_edges):
+        out_edges[g.edge_origin(e)].append(e)
+        in_degree[g.edge_terminus(e)] += 1
+    # vertex v = a_1..a_m leaves by the edges a_1..a_m.c, indices vq..vq+q-1
+    assert out_edges == [list(range(v * q, (v + 1) * q)) for v in range(g.num_vertices)]
+    assert in_degree == [q] * g.num_vertices
     # every vertex reaches every other within m steps
     for start in range(g.num_vertices):
         frontier = {start}
         reached = {start}
         for _ in range(m):
-            frontier = {g.edge_terminus(e) for v in frontier for e in g.out_edges(v)}
+            frontier = {g.edge_terminus(e) for v in frontier for e in out_edges[v]}
             reached |= frontier
         assert reached == set(range(g.num_vertices))
 
@@ -100,22 +98,22 @@ def test_degrees_and_connectivity(q, m):
 def test_orbit_vertex_cycle_example():
     orbit = PeriodicOrbit(w("0001"))
     g = build_graph(2, 3)
-    expected = [g.vertex_index(w(s)) for s in ["000", "001", "010", "100"]]
+    expected = [index(s) for s in ["000", "001", "010", "100"]]
     assert list(orbit.vertex_sequence(3)) == expected
 
 
 def test_orbit_shorter_than_order_wraps():
     orbit = PeriodicOrbit(w("0"))
     g = build_graph(2, 3)
-    assert orbit.edge_sequence(3) == (g.edge_index(w("0000")),)
-    assert orbit.vertex_sequence(3) == (g.vertex_index(w("000")),)
+    assert orbit.edge_sequence(3) == (index("0000"),)
+    assert orbit.vertex_sequence(3) == (index("000"),)
 
 
 def test_orbit_edge_sequence_example():
     orbit = PeriodicOrbit(w("01"))
     g = build_graph(2, 2)
-    assert orbit.edge_sequence(2) == (g.edge_index(w("010")), g.edge_index(w("101")))
-    assert orbit.vertex_sequence(2) == (g.vertex_index(w("01")), g.vertex_index(w("10")))
+    assert orbit.edge_sequence(2) == (index("010"), index("101"))
+    assert orbit.vertex_sequence(2) == (index("01"), index("10"))
 
 
 def test_orbit_rejects_non_lyndon():
@@ -240,6 +238,9 @@ def test_enumeration_independent_of_graph_order():
 def closed_edge_walks(g, length):
     """All closed edge walks of the given length, as edge tuples."""
     walks = []
+    out_edges = [[] for _ in range(g.num_vertices)]
+    for e in range(g.num_edges):
+        out_edges[g.edge_origin(e)].append(e)
 
     def extend(path):
         if len(path) == length:
@@ -247,7 +248,7 @@ def closed_edge_walks(g, length):
                 walks.append(tuple(path))
             return
         v = g.edge_terminus(path[-1])
-        for e in g.out_edges(v):
+        for e in out_edges[v]:
             path.append(e)
             extend(path)
             path.pop()
@@ -323,15 +324,15 @@ def test_edge_multiplicities_examples():
     g3 = build_graph(2, 3)
     po = PseudoOrbit.from_orbits([PeriodicOrbit(w("0"))], 2)
     vec = edge_multiplicities(po, g3)
-    assert vec[g3.edge_index(w("0000"))] == 1
+    assert vec[index("0000")] == 1
     assert sum(vec) == 1
 
     g2 = build_graph(2, 2)
     po = PseudoOrbit.from_orbits([PeriodicOrbit(w("01"))], 2)
     vec = edge_multiplicities(po, g2)
     expected = [0] * g2.num_edges
-    expected[g2.edge_index(w("010"))] = 1
-    expected[g2.edge_index(w("101"))] = 1
+    expected[index("010")] = 1
+    expected[index("101")] = 1
     assert vec == tuple(expected)
 
     po = PseudoOrbit.from_orbits(

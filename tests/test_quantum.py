@@ -81,19 +81,20 @@ def test_dft_unitary(q):
 def test_sigma_q2_m1_entries():
     g = build_graph(2, 1)
     s = assemble_sigma(g)
-    assert s.entries.shape == (4, 4)
+    assert s.shape == (4, 4)
+    assert not s.flags.writeable
     # edges indexed 00,01,10,11; entry (out, in) couples at the shared vertex
-    assert s.entries[0, 0] == pytest.approx(INV_SQRT2)
+    assert s[0, 0] == pytest.approx(INV_SQRT2)
     # out 01 (last letter 1), in 10 (first letter 1): omega^(1*1) = -1
-    assert s.entries[1, 2] == pytest.approx(-INV_SQRT2)
+    assert s[1, 2] == pytest.approx(-INV_SQRT2)
     # out 10 (last letter 0), in 01 (first letter 0): omega^0 = +1
-    assert s.entries[2, 1] == pytest.approx(INV_SQRT2)
+    assert s[2, 1] == pytest.approx(INV_SQRT2)
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
 def test_sigma_unitary(q, m):
     s = assemble_sigma(build_graph(q, m))
-    assert unitarity_defect(s.entries) < 1e-12
+    assert unitarity_defect(s) < 1e-12
 
 
 @pytest.mark.parametrize("q,m", [(2, 3), (3, 2)])
@@ -101,7 +102,7 @@ def test_sigma_sparsity_pattern_and_moduli(q, m):
     g = build_graph(q, m)
     s = assemble_sigma(g)
     for e_out in range(g.num_edges):
-        row = s.entries[e_out]
+        row = s[e_out]
         nonzero = np.flatnonzero(np.abs(row) > 1e-15)
         assert len(nonzero) == q
         for e_in in nonzero:
@@ -115,10 +116,14 @@ def test_sigma_sparsity_pattern_and_moduli(q, m):
 def test_edge_lengths_golden_seed():
     g = build_graph(2, 2)
     lengths = sample_edge_lengths(g, seed=7)
-    assert lengths.seed == 7
-    assert lengths.lengths[:3] == pytest.approx(
+    assert not lengths.flags.writeable
+    assert lengths[:3] == pytest.approx(
         [1.6250954666046669, 1.8972138009695754, 1.7756856902451936], abs=0.0
     )
+    # the instance keeps the seed beside the same lengths
+    inst = build_instance(2, 2, seed=7)
+    assert inst.seed == 7
+    assert np.array_equal(inst.lengths, lengths)
 
 
 def test_edge_lengths_range_and_determinism():
@@ -126,9 +131,9 @@ def test_edge_lengths_range_and_determinism():
     a = sample_edge_lengths(g, seed=42)
     b = sample_edge_lengths(g, seed=42)
     c = sample_edge_lengths(g, seed=43)
-    assert np.all(a.lengths >= 1.0) and np.all(a.lengths < 2.0)
-    assert np.array_equal(a.lengths, b.lengths)
-    assert np.any(a.lengths != c.lengths)
+    assert np.all(a >= 1.0) and np.all(a < 2.0)
+    assert np.array_equal(a, b)
+    assert np.any(a != c)
 
 
 # --- evolution operator -----------------------------------------------------------
@@ -136,7 +141,7 @@ def test_edge_lengths_range_and_determinism():
 
 def test_evolution_operator_at_zero_is_sigma():
     inst = build_instance(2, 2, seed=1)
-    assert np.array_equal(evolution_operator(inst, 0.0), inst.sigma.entries)
+    assert np.array_equal(evolution_operator(inst, 0.0), inst.sigma)
 
 
 def test_evolution_operator_unitary():
@@ -152,7 +157,7 @@ def test_evolution_operator_entrywise():
     for _ in range(20):
         e = rng.integers(0, 8)
         e2 = rng.integers(0, 8)
-        expected = np.exp(1j * k * inst.lengths.lengths[e]) * inst.sigma.entries[e, e2]
+        expected = np.exp(1j * k * inst.lengths[e]) * inst.sigma[e, e2]
         assert U[e, e2] == pytest.approx(expected, abs=1e-15)
 
 
@@ -234,20 +239,20 @@ def test_char_poly_rejects_non_square():
 
 
 def test_orbit_amplitude_loop():
-    s = assemble_sigma(build_graph(2, 1))
-    amp = orbit_amplitude(PeriodicOrbit(w("0")), s)
+    inst = build_instance(2, 1, seed=0)
+    amp = orbit_amplitude(PeriodicOrbit(w("0")), inst)
     assert amp == pytest.approx(INV_SQRT2)
     # single-factor product: equals the matching Sigma entry
-    assert amp == s.entries[0, 0]
+    assert amp == inst.sigma[0, 0]
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 1)])
 def test_orbit_amplitude_modulus(q, m):
-    s = assemble_sigma(build_graph(q, m))
+    inst = build_instance(q, m, seed=0)
     for n in range(1, 6):
         for po in primitive_pseudo_orbits(q, n):
             for orbit in po.orbits:
-                amp = orbit_amplitude(orbit, s)
+                amp = orbit_amplitude(orbit, inst)
                 assert abs(amp) ** 2 == pytest.approx(
                     q ** (-orbit.topological_length), abs=1e-12
                 )
@@ -259,7 +264,7 @@ def test_pseudo_orbit_amplitude():
     assert weights.tolist() == [1]  # the empty pseudo orbit
     # length 2: {01} then {1,0}; one orbit, so the sign is -1
     weights, _ = expansion_terms(inst, 2)
-    assert weights[0] == -orbit_amplitude(PeriodicOrbit(w("01")), inst.sigma)
+    assert weights[0] == -orbit_amplitude(PeriodicOrbit(w("01")), inst)
     for n in range(0, 7):
         weights, _ = expansion_terms(inst, n)
         assert np.abs(weights) ** 2 == pytest.approx(2.0**-n, abs=1e-12)
@@ -267,17 +272,18 @@ def test_pseudo_orbit_amplitude():
 
 def test_pseudo_orbit_length():
     inst = build_instance(2, 3, seed=9)
-    g, ell = inst.graph, inst.lengths.lengths
+    ell = inst.lengths
     assert expansion_terms(inst, 0)[1].tolist() == [0.0]
     # length 1: the loops {0} then {1}
-    assert expansion_terms(inst, 1)[1][0] == pytest.approx(ell[g.edge_index(w("0000"))])
+    assert expansion_terms(inst, 1)[1][0] == pytest.approx(ell[int("0000", 2)])
 
     inst2 = build_instance(2, 2, seed=9)
-    g2, ell2 = inst2.graph, inst2.lengths.lengths
+    ell2 = inst2.lengths
     orbits = [str(po) for po in primitive_pseudo_orbits(2, 4)]
     metric = expansion_terms(inst2, 4)[1]
-    expected = ell2[g2.edge_index(w("111"))] + ell2[g2.edge_index(w("010"))]
-    expected += ell2[g2.edge_index(w("101"))] + ell2[g2.edge_index(w("000"))]
+    # edge indices are the base-2 values of the edge words
+    expected = ell2[int("111", 2)] + ell2[int("010", 2)]
+    expected += ell2[int("101", 2)] + ell2[int("000", 2)]
     assert metric[orbits.index("{1,01,0}")] == pytest.approx(expected, abs=1e-14)
 
 
@@ -286,7 +292,7 @@ def test_expansion_terms_match_orbit_objects(q, m, n_max):
     # independent route: public PseudoOrbit objects, orbit_amplitude and
     # PeriodicOrbit.edge_sequence, multiplied and summed orbit by orbit
     inst = build_instance(q, m, seed=21)
-    ell = inst.lengths.lengths
+    ell = inst.lengths
     for n in range(n_max + 1):
         weights, metric = expansion_terms(inst, n)
         orbits = primitive_pseudo_orbits(q, n)
@@ -294,7 +300,7 @@ def test_expansion_terms_match_orbit_objects(q, m, n_max):
         for po, weight, length in zip(orbits, weights, metric):
             amp, total = 1 + 0j, 0.0
             for orbit in po.orbits:
-                amp *= orbit_amplitude(orbit, inst.sigma)
+                amp *= orbit_amplitude(orbit, inst)
                 total += float(sum(ell[e] for e in orbit.edge_sequence(m)))
             assert weight == (-amp if po.num_orbits % 2 else amp)
             assert length == total
@@ -310,10 +316,9 @@ def test_coeff_n0_is_one():
 
 def test_coeff_n1_two_loops():
     inst = build_instance(2, 2, seed=4)
-    g, s, ell = inst.graph, inst.sigma.entries, inst.lengths.lengths
+    s, ell = inst.sigma, inst.lengths
     k = 5.1
-    e00 = g.edge_index(w("000"))
-    e11 = g.edge_index(w("111"))
+    e00, e11 = int("000", 2), int("111", 2)
     expected = -(
         s[e00, e00] * np.exp(1j * k * ell[e00]) + s[e11, e11] * np.exp(1j * k * ell[e11])
     )
@@ -342,7 +347,7 @@ def test_expansion_matches_determinant(q, m):
 def test_expansion_at_k_zero_matches_sigma():
     inst = build_instance(2, 2, seed=8)
     E = inst.graph.num_edges
-    direct = char_poly_direct(inst.sigma.entries).a
+    direct = char_poly_direct(inst.sigma).a
     expanded = np.array([coeff_from_pseudo_orbits(n, inst, 0.0) for n in range(E + 1)])
     assert np.max(np.abs(direct - expanded)) < 1e-9
 

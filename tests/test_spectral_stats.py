@@ -179,10 +179,12 @@ def test_variance_report_q5():
 
 
 def test_variance_report_checks_sampling_before_exact_value(monkeypatch):
-    def refuse(inst, n):
+    def refuse(*args):
         raise AssertionError("exact value computed before the arguments were checked")
 
-    monkeypatch.setattr(spectral_stats, "exact_grouped_variance", refuse)
+    # variance_report reaches the exact value through the DP, then the instance
+    monkeypatch.setattr(spectral_stats, "_exact_variance", refuse)
+    monkeypatch.setattr(spectral_stats, "build_instance", refuse)
     with pytest.raises(ValueError, match="at least 2 samples"):
         variance_report(2, 7, 18, seed=0, samples=1)
     with pytest.raises(ValueError, match="k_max"):
@@ -281,7 +283,7 @@ def _random_balanced_set(q, m, rng):
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_balanced_minor_factors_over_vertices(q, m):
     inst = build_instance(q, m, seed=4)
-    graph, sigma, F = inst.graph, inst.sigma.entries, dft_matrix(q)
+    graph, sigma, F = inst.graph, inst.sigma, dft_matrix(q)
     rng = np.random.default_rng(1000 * q + m)
     for _ in range(20):
         S = _random_balanced_set(q, m, rng)

@@ -323,19 +323,19 @@ def test_closed_form_matches_bruteforce(q, max_n):
 
 
 def test_series_examples():
-    assert lyndon_subset_series(2, 4).coeffs == (1, 2, 2, 4, 8)
-    assert lyndon_subset_series(1, 3).coeffs == (1, 1, 0, 0)
+    assert lyndon_subset_series(2, 4) == (1, 2, 2, 4, 8)
+    assert lyndon_subset_series(1, 3) == (1, 1, 0, 0)
     # derived: brute force for q=3 up to degree 3
     brute = [count_strictly_decreasing_bruteforce(3, n) for n in range(4)]
     assert brute == [1, 3, 6, 18]
-    assert lyndon_subset_series(3, 3).coeffs == (1, 3, 6, 18)
+    assert lyndon_subset_series(3, 3) == (1, 3, 6, 18)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_series_matches_closed_form_to_degree_12(q):
     series = lyndon_subset_series(q, 12)
     for n in range(13):
-        assert series.coeffs[n] == count_strictly_decreasing(q, n)
+        assert series[n] == count_strictly_decreasing(q, n)
 
 
 # --- Word basics --------------------------------------------------------------
@@ -360,3 +360,41 @@ def test_factorization_roundtrip_random(single):
     (word,) = single
     if len(word) > 0:
         _check_roundtrip(word)
+
+
+# --- value types --------------------------------------------------------------
+
+
+def test_value_types_are_immutable_values_that_pickle():
+    import copy
+    import pickle
+
+    import qnary
+
+    values = [
+        w("0110"),
+        duval_factorize(w("0110")),
+        qnary.build_graph(2, 3),
+        qnary.PeriodicOrbit(w("01")),
+        qnary.primitive_pseudo_orbits(2, 4)[3],
+        qnary.VarianceReport(2, 2, 4, 7, 0, 8, 0.5, 0.75, 1.0, 2.7),
+    ]
+    for value in values:
+        name = type(value).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        # repr spells the constructor call with the field names as keywords
+        rebuilt = eval(repr(value), vars(qnary))
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), rebuilt):
+            assert twin == value and hash(twin) == hash(value)
+            assert twin is not value
+    assert w("01") != w("01", q=3)
+    assert w("01") != qnary.PeriodicOrbit(w("01"))
+    # the instance holds arrays, so it compares by identity
+    inst = qnary.build_instance(2, 1, seed=3)
+    assert inst == inst and inst != qnary.build_instance(2, 1, seed=3)
+    with pytest.raises(AttributeError):
+        inst.seed = 4
+    assert pickle.loads(pickle.dumps(inst)).seed == 3
