@@ -26,6 +26,7 @@ from .words import (
     BudgetExceededError,
     Word,
     _display,
+    _lyndon_count_exceeds,
     _lyndon_tuples,
     _power_exceeds,
     count_strictly_decreasing,
@@ -98,6 +99,11 @@ def _require_printable_count(q: int, n: int) -> None:
 def _cmd_lyndon_list(args) -> int:
     _require(args.q >= 1, f"--q must be at least 1, got {args.q}")
     _require(args.l >= 1, f"--l must be at least 1, got {args.l}")
+    if _lyndon_count_exceeds(args.q, args.l, DEFAULT_ENUMERATION_BUDGET):
+        raise BudgetExceededError(
+            f"Lyndon words of length {args.l} over {args.q} letters exceed budget "
+            f"{DEFAULT_ENUMERATION_BUDGET}"
+        )
     words = [_display(t, args.q) for t in _lyndon_tuples(args.q, args.l) if len(t) == args.l]
     if args.format == "json":
         _emit_json(words)

@@ -15,6 +15,8 @@ pseudo orbits,
 
 where an orbit's amplitude is the cyclic product of Sigma entries along its
 edge sequence and its metric length the sum of traversed edge lengths.
+Amplitudes are read from the DFT by the orbit's letters; they are the
+instance's own when its `sigma` is `assemble_sigma(graph)`, as built.
 Every call enumerates the pseudo orbits it needs afresh; nothing is cached
 on the instance, so a caller that evaluates many k takes `expansion_terms`
 once.  numpy is imported inside the functions that compute, so the
@@ -23,10 +25,11 @@ combinatorial commands, which never call them, start without loading it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows, build_graph
-from .words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, _Frozen
+from .words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, _Frozen, _lyndon_tuples
 
 DEFAULT_MAX_CHARPOLY_DIM = 64
 _DET_BLOCK_BYTES = 2**20
@@ -174,48 +177,41 @@ def char_poly_direct(
 
 def orbit_amplitude(orbit: PeriodicOrbit, inst: SpectralInstance) -> complex:
     """Cyclic product of Sigma entries along the orbit's edge sequence on
-    the instance's graph.
+    the instance's graph, read from the q x q DFT F by the orbit's letters:
+    the step from edge w[i..i+m] to w[i+1..i+m+1] (indices mod l) has the
+    entry F[w[i+m+1]][w[i]].
 
     The modulus is always q^(-length/2), one factor 1/sqrt(q) per step.
     """
     if orbit.word.q != inst.graph.q:
         raise ValueError("orbit and graph alphabet sizes differ")
-    return _walk_amplitude(orbit.edge_sequence(inst.graph.m), inst.sigma)
+    return _word_amplitude(orbit.word.letters, inst.graph.m, dft_matrix(orbit.word.q).tolist())
 
 
-def _walk_amplitude(edges: tuple[int, ...], S: np.ndarray) -> complex:
+def _word_amplitude(word: tuple[int, ...], m: int, F: list[list[complex]]) -> complex:
+    l = len(word)
     amp = 1 + 0j
-    for i, e in enumerate(edges):
-        amp *= S[edges[(i + 1) % len(edges)], e]
+    for i, b in enumerate(word):
+        amp *= F[word[(i + m + 1) % l]][b]
     return amp
 
 
-def _pseudo_orbit_terms(inst: SpectralInstance, n: int):
-    """Yield (edge walk, signed amplitude, metric length) for each pseudo
-    orbit of length n, in enumeration order.
-
-    The signed amplitude is (-1)^(orbit count) times the product of the
-    member orbits' amplitudes, the metric length the sum of traversed edge
-    lengths; each Lyndon word's walk, amplitude and length are computed once
-    per call.
+def _pseudo_orbit_terms(q: int, m: int, n: int):
+    """Yield (the member orbits' edge walks, signed amplitude) for each pseudo
+    orbit of length n on the order-m graph, in enumeration order.  The sign is
+    (-1)^(orbit count); each Lyndon word's walk and amplitude are computed once.
     """
-    q, m = inst.graph.q, inst.graph.m
-    S, ell = inst.sigma, inst.lengths
-    orbits: dict[tuple[int, ...], tuple[tuple[int, ...], complex, float]] = {}
-    for words in _pseudo_orbit_tuples(q, n):
-        walk: list[int] = []
+    items = _pseudo_orbit_tuples(q, n)  # refuses over the budget
+    F = dft_matrix(q).tolist()
+    orbits = {w: (_windows(w, q, m + 1), _word_amplitude(w, m, F)) for w in _lyndon_tuples(q, n)}
+    for words in items:
+        walks = []
         amp = 1 + 0j
-        length = 0.0
         for word in words:
-            data = orbits.get(word)
-            if data is None:
-                edges = _windows(word, q, m + 1)
-                data = (edges, _walk_amplitude(edges, S), float(sum(ell[e] for e in edges)))
-                orbits[word] = data
-            walk.extend(data[0])
-            amp *= data[1]
-            length += data[2]
-        yield walk, -amp if len(words) % 2 else amp, length
+            edges, orbit_amp = orbits[word]
+            walks.append(edges)
+            amp *= orbit_amp
+        yield walks, -amp if len(words) % 2 else amp
 
 
 def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +223,13 @@ def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndar
     """
     import numpy as np
 
+    ell = inst.lengths
+    orbit_length = functools.cache(lambda edges: float(sum(ell[e] for e in edges)))
     amps, lengths = [], []
-    for _, amp, length in _pseudo_orbit_terms(inst, n):
+    for walks, amp in _pseudo_orbit_terms(inst.graph.q, inst.graph.m, n):
+        length = 0.0
+        for edges in walks:
+            length += orbit_length(edges)
         amps.append(amp)
         lengths.append(length)
     weights = np.array(amps, dtype=complex)

@@ -25,9 +25,10 @@ equal metric length.  Three routes evaluate it:
 over the balanced edge sets while the DP's work stays within the number of
 pseudo orbits of length d and its live states within the default
 enumeration budget over E(d+1); past either limit it groups the pseudo
-orbits of length d, which refuses beyond the budget.  The route and the
-refusal depend on (q, m, n) alone, so `variance_report` decides both before
-it assembles Sigma.
+orbits of length d, which refuses beyond the budget.  Provided the
+instance's `sigma` is `assemble_sigma(graph)`, the value, its route and the
+refusal depend on (q, m, n) alone, so `variance_report` assembles Sigma only
+to sample.
 
 A Monte-Carlo estimator over uniform k samples cross-checks the pipeline,
 and circular-ensemble reference values (CUE = 1, COE = 1 + n(E-n)/(E+1))
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 
-from .debruijn import QNaryGraph, _check_pseudo_orbit_budget, build_graph
+from .debruijn import build_graph
 from .quantum import (
     DEFAULT_MAX_CHARPOLY_DIM,
     SpectralInstance,
@@ -84,14 +85,13 @@ def exact_grouped_variance(inst: SpectralInstance, n: int) -> float:
     grouped instead, which raises BudgetExceededError when they exceed the
     default budget.
     """
-    return _exact_variance(inst.graph, n, lambda: inst)
+    return _exact_variance(inst.graph.q, inst.graph.m, n)
 
 
-def _exact_variance(graph: QNaryGraph, n: int, instance) -> float:
-    """`exact_grouped_variance` on the graph.  The DP needs only q and m;
-    `instance()` gives the SpectralInstance to group on, and is called only
-    after a grouping over the default budget has been refused."""
-    q, E = graph.q, graph.num_edges
+def _exact_variance(q: int, m: int, n: int) -> float:
+    """`exact_grouped_variance` of the order-m q-nary graph: both routes
+    need only q, m and n."""
+    E = q ** (m + 1)
     if not 0 <= n <= E:
         raise ValueError(f"coefficient index {n} outside 0..{E}")
     d = min(n, E - n)
@@ -100,24 +100,23 @@ def _exact_variance(graph: QNaryGraph, n: int, instance) -> float:
     huge = d >= 2 and _power_exceeds(q, d - 1, DEFAULT_ENUMERATION_BUDGET)
     variances = _balanced_subset_variances(
         q,
-        graph.m,
+        m,
         d,
         max_work=DEFAULT_ENUMERATION_BUDGET if huge else count_strictly_decreasing(q, d),
         max_states=DEFAULT_ENUMERATION_BUDGET // (E * (d + 1)),
     )
     if variances is not None:
         return float(variances[d])
-    _check_pseudo_orbit_budget(q, d, DEFAULT_ENUMERATION_BUDGET)
-    return _grouped_variance(instance(), d)
+    return _grouped_variance(q, m, d)
 
 
-def _grouped_variance(inst: SpectralInstance, n: int) -> float:
-    """Pseudo orbits of length n grouped by the multiset of edges they
-    traverse (their edge-multiplicity vector); each group contributes
-    |sum of signed amplitudes|^2."""
+def _grouped_variance(q: int, m: int, n: int) -> float:
+    """Pseudo orbits of length n on the order-m graph grouped by the multiset
+    of edges they traverse (their edge-multiplicity vector); each group
+    contributes |sum of signed amplitudes|^2."""
     groups: dict[tuple[int, ...], complex] = {}
-    for walk, weight, _ in _pseudo_orbit_terms(inst, n):
-        key = tuple(sorted(walk))
+    for walks, weight in _pseudo_orbit_terms(q, m, n):
+        key = tuple(sorted(e for edges in walks for e in edges))
         groups[key] = groups.get(key, 0j) + weight
     return float(sum(abs(v) ** 2 for v in groups.values()))
 
@@ -281,8 +280,8 @@ def _balanced_subset_variances(
 def _check_sampling(samples: int, k_max: float) -> None:
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if not k_max > 0:
-        raise ValueError(f"k_max must be positive, got {k_max}")
+    if not 0 < k_max < float("inf"):
+        raise ValueError(f"k_max must be finite and positive, got {k_max}")
 
 
 def _sampled_coefficients(inst: SpectralInstance, samples: int, k_max: float, seed: int):
@@ -373,15 +372,14 @@ def variance_report(
     only when samples > 0; samples must be 0 or at least 2.
 
     Every refusal comes before Sigma is assembled: the determinant cap when
-    sampling, then the exact value's route, which needs only q and m.  The
-    instance is built only to group pseudo orbits or to sample."""
+    sampling, then the exact value, which needs only q, m and n.  The
+    instance is built only to sample."""
     if samples != 0:
         _check_sampling(samples, k_max)
-    graph = build_graph(q, m)
-    E = graph.num_edges
+    E = build_graph(q, m).num_edges
     if samples > 0 and E > DEFAULT_MAX_CHARPOLY_DIM:
         raise BudgetExceededError(f"dimension {E} exceeds cap {DEFAULT_MAX_CHARPOLY_DIM}")
-    exact = _exact_variance(graph, n, lambda: build_instance(q, m, seed))
+    exact = _exact_variance(q, m, n)
     mc_estimate = mc_std_error = None
     if samples > 0:
         inst = build_instance(q, m, seed)

@@ -216,6 +216,8 @@ def _lyndon_tuples(q: int, max_len: int):
     # emitted in dictionary order as letter tuples.
     w = [0]
     yield (0,)
+    if q == 1:
+        return  # the only one; the successor step would build max_len zeros
     top = q - 1
     while True:
         w = (w * (max_len // len(w) + 1))[:max_len]
@@ -274,6 +276,16 @@ def count_lyndon(q: int, l: int) -> int:
     total = sum(_mobius(d) * q ** (l // d) for d in _divisors(l))
     assert total % l == 0  # necklace-counting divisibility
     return total // l
+
+
+def _lyndon_count_exceeds(q: int, l: int, limit: int) -> bool:
+    """count_lyndon(q, l) > limit for q >= 1, l >= 1, decided from bit lengths
+    when they suffice, so a huge count is never built."""
+    # for q >= 2 and l >= 3 the primitive words number at least
+    # q^l - q^(l//2 + 1) >= q^(l-1), so l L_q(l) >= q^(l-1)
+    if q >= 2 and l >= 3 and _power_exceeds(q, l - 1, limit * l):
+        return True
+    return count_lyndon(q, l) > limit
 
 
 def verify_lyndon_count_identity(q: int, m: int) -> bool:

@@ -65,6 +65,22 @@ def test_lyndon_list_zero_length_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("length", [40, 10**9])
+def test_lyndon_list_over_budget_exits_3_promptly(length):
+    # about 2^40/40 words, and at l = 10^9 a count that is never built
+    proc = run_fresh("-m", "qnary", "lyndon", "list", "--q", "2", "--l", str(length), timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert f"Lyndon words of length {length} over 2 letters exceed budget" in proc.stderr
+
+
+def test_lyndon_list_within_budget_is_unchanged():
+    proc = run_fresh("-m", "qnary", "lyndon", "list", "--q", "2", "--l", "18", timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "".join(f"{w}\n" for w in lyndon_words(2, 18))
+    assert len(proc.stdout.splitlines()) == 14532
+
+
 # --- factorize ---------------------------------------------------------------------
 
 
@@ -376,6 +392,22 @@ def test_variance_with_more_digits_than_int_to_str_formats_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "count 1*2^16383 has more than 4300 digits" in err
+
+
+def test_variance_infinite_k_max_is_usage_error(capsys):
+    code, out, err = run(capsys, "variance", "--q", "2", "--m", "1", "--n", "2",
+                         "--samples", "10", "--k-max", "inf")
+    assert code == 2
+    assert out == ""
+    assert "k_max must be finite and positive, got inf" in err
+
+
+def test_variance_exact_value_never_builds_sigma():
+    # E = 2^15: Sigma would take 16 GiB, the exact value needs only q, m and n
+    proc = run_fresh("-m", "qnary", "variance", "--q", "2", "--m", "14", "--n", "2",
+                     "--samples", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["exact_grouped"] == 0.5
 
 
 def test_variance_beyond_pseudo_orbit_budget(capsys):

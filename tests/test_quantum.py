@@ -11,7 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qnary.debruijn import PeriodicOrbit, build_graph, primitive_pseudo_orbits
+from qnary.debruijn import (
+    PeriodicOrbit,
+    build_graph,
+    primitive_periodic_orbits,
+    primitive_pseudo_orbits,
+)
 from qnary.quantum import (
     CharPolyCoefficients,
     assemble_sigma,
@@ -256,6 +261,23 @@ def test_orbit_amplitude_modulus(q, m):
                 assert abs(amp) ** 2 == pytest.approx(
                     q ** (-orbit.topological_length), abs=1e-12
                 )
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 3), (3, 2), (4, 1)])
+def test_orbit_amplitude_is_the_cyclic_product_of_sigma_entries(q, m):
+    # Sigma stays the oracle: the DFT-by-letters amplitude equals, bit for bit,
+    # the product of Sigma[next edge, edge] taken along the walk in order
+    inst = build_instance(q, m, seed=0)
+    sigma = assemble_sigma(inst.graph)
+    for length in range(1, 2 * m + 3):
+        for orbit in primitive_periodic_orbits(q, length):
+            edges = orbit.edge_sequence(m)
+            product = 1 + 0j
+            for i, e in enumerate(edges):
+                product *= sigma[edges[(i + 1) % length], e]
+            amp = orbit_amplitude(orbit, inst)
+            assert type(amp) is complex
+            assert amp == product
 
 
 def test_pseudo_orbit_amplitude():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qnary import spectral_stats
+from qnary import quantum, spectral_stats
 from qnary.debruijn import PeriodicOrbit, edge_multiplicities, primitive_pseudo_orbits
 from qnary.quantum import build_instance, dft_matrix, expansion_terms
 from qnary.spectral_stats import (
@@ -182,13 +182,35 @@ def test_variance_report_checks_sampling_before_exact_value(monkeypatch):
     def refuse(*args):
         raise AssertionError("exact value computed before the arguments were checked")
 
-    # variance_report reaches the exact value through the DP, then the instance
+    # variance_report computes the exact value from (q, m, n) and builds the
+    # instance only to sample, after both
     monkeypatch.setattr(spectral_stats, "_exact_variance", refuse)
     monkeypatch.setattr(spectral_stats, "build_instance", refuse)
     with pytest.raises(ValueError, match="at least 2 samples"):
         variance_report(2, 7, 18, seed=0, samples=1)
-    with pytest.raises(ValueError, match="k_max"):
-        variance_report(2, 2, 4, seed=0, samples=10, k_max=0.0)
+    for k_max in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="k_max"):
+            variance_report(2, 2, 4, seed=0, samples=10, k_max=k_max)
+
+
+@pytest.mark.parametrize("k_max", [0.0, -1.0, float("inf"), float("nan")])
+def test_monte_carlo_needs_finite_positive_k_max(k_max):
+    inst = build_instance(2, 1, seed=0)
+    with pytest.raises(ValueError, match="k_max must be finite and positive"):
+        monte_carlo_variance(inst, 2, 10, k_max, seed=0)
+
+
+def test_exact_value_never_builds_sigma(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Sigma assembled for the exact value")
+
+    # on the grouping route: the DP gives up past the 16 pseudo orbits of length 5
+    assert _balanced_subset_variances(2, 3, 5, max_work=16, max_states=10**8) is None
+    expected = _balanced_subset_variances(2, 3, 5, **FULL_DP)[5]
+    monkeypatch.setattr(spectral_stats, "build_instance", refuse)
+    monkeypatch.setattr(quantum, "assemble_sigma", refuse)
+    report = variance_report(2, 3, 5, seed=0)
+    assert report.exact_grouped == pytest.approx(expected, abs=1e-12)
 
 
 def test_variance_report_with_mc():
@@ -211,18 +233,16 @@ FULL_DP = {"max_work": 10**12, "max_states": 10**9}
     [(2, 1, 4), (2, 2, 8), (2, 3, 16), (2, 4, 16), (3, 1, 9), (3, 2, 9), (4, 1, 8)],
 )
 def test_balanced_subset_dp_equals_pseudo_orbit_grouping(q, m, n_max):
-    inst = build_instance(q, m, seed=4)
     dp = _balanced_subset_variances(q, m, n_max, **FULL_DP)
     for n in range(n_max + 1):
-        assert dp[n] == pytest.approx(_grouped_variance(inst, n), abs=1e-12)
+        assert dp[n] == pytest.approx(_grouped_variance(q, m, n), abs=1e-12)
 
 
 def test_balanced_subset_dp_with_codes_wider_than_64_bits():
     # q=2 m=7 keeps 20 vertices open at once, 80 bits of masks per state
-    inst = build_instance(2, 7, seed=4)
     dp = _balanced_subset_variances(2, 7, 8, **FULL_DP)
     for n in range(9):
-        assert dp[n] == pytest.approx(_grouped_variance(inst, n), abs=1e-12)
+        assert dp[n] == pytest.approx(_grouped_variance(2, 7, n), abs=1e-12)
 
 
 @pytest.mark.parametrize("q,m,n_max", [(2, 2, 8), (2, 3, 10), (3, 1, 6), (4, 1, 4)])
@@ -311,8 +331,8 @@ def test_exact_variance_beyond_pseudo_orbit_budget():
     assert exact_grouped_variance(build_instance(2, 5, seed=9), 32) == pytest.approx(
         value, abs=1e-12
     )
-    with pytest.raises(BudgetExceededError):
-        _grouped_variance(inst, 32)
+    with pytest.raises(BudgetExceededError, match="1\\*2\\^31 pseudo orbits of length 32"):
+        _grouped_variance(2, 5, 32)
 
 
 def test_exact_variance_index_out_of_range():

@@ -7,6 +7,7 @@ for factorization uniqueness.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ import hypothesis.strategies as st
 from qnary.words import (
     BudgetExceededError,
     _duval,
+    _lyndon_count_exceeds,
+    _lyndon_tuples,
     _no_repeated_factor,
     LyndonFactorization,
     Word,
@@ -246,6 +249,27 @@ def test_lyndon_words_rejects_bad_length():
 def test_lyndon_words_one_letter_alphabet():
     assert [x.letters for x in lyndon_words(1, 1)] == [(0,)]
     assert lyndon_words(1, 3) == []
+
+
+def test_one_letter_generation_builds_no_long_list():
+    # the one Lyndon word over one letter is "0"; nothing of length l is built
+    tracemalloc.start()
+    try:
+        assert list(_lyndon_tuples(1, 10**6)) == [(0,)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_lyndon_count_exceeds_matches_the_count(q):
+    for l in range(1, 25):
+        c = count_lyndon(q, l)
+        for limit in {0, max(c - 1, 0), c, c + 1, 10**8}:
+            assert _lyndon_count_exceeds(q, l, limit) == (c > limit)
+    # decided from bit lengths: q^(10^9) is never built
+    assert _lyndon_count_exceeds(q, 10**9, 10**8) == (q > 1)
 
 
 def test_count_lyndon_examples():
