@@ -22,8 +22,6 @@ only where a caller asks for them.  Nothing is cached between calls.
 
 from __future__ import annotations
 
-import itertools
-
 from .words import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
@@ -35,13 +33,6 @@ from .words import (
     is_lyndon,
     lyndon_words,
 )
-
-
-def _encode(letters, q: int) -> int:
-    value = 0
-    for a in letters:
-        value = value * q + a
-    return value
 
 
 class QNaryGraph(_Frozen):
@@ -189,47 +180,32 @@ def _check_pseudo_orbit_budget(q: int, n: int, budget: int) -> None:
         raise BudgetExceededError(f"{shown} pseudo orbits of length {n} exceed budget {budget}")
 
 
-def _pseudo_orbit_tuples(
-    q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> list[tuple[tuple[int, ...], ...]]:
+def _pseudo_orbit_tuples(q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
     """The pseudo orbits of length n as strictly decreasing tuples of Lyndon
-    letter tuples, in the order of `primitive_pseudo_orbits`."""
+    letter tuples, in the order of `primitive_pseudo_orbits`; refuses over
+    the budget at the call and then yields lazily.
+
+    Depth first: each word in dictionary order, then the strictly smaller
+    words that fit the remaining length.  That is concatenation order, since
+    at the first differing words w < v, a letter decides both orders; else w is a prefix of v,
+    and by Duval's lemma a larger w-side would have a Lyndon prefix longer than its first factor w.
+    """
     _check_pseudo_orbit_budget(q, n, budget)
-    if n == 0:
-        return [()]
-    pools: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for t in _lyndon_tuples(q, n):
-        pools[len(t)].append(t)
+    words = list(_lyndon_tuples(q, n)) if n else []
+    # fits[r]: indices of the words of length <= r, in dictionary order
+    fits = [[i for i, w in enumerate(words) if len(w) <= r] for r in range(n + 1)]
 
-    # Profiles: how many words of each length go into a subset. Words of equal
-    # length are automatically distinct, so each profile contributes a product
-    # of binomial choices.
-    profiles: list[tuple[tuple[int, int], ...]] = []
-
-    def choose(l: int, remaining: int, acc: list[tuple[int, int]]):
+    def extend(prefix, remaining, below):
         if remaining == 0:
-            profiles.append(tuple(acc))
+            yield prefix
             return
-        if l == 0:
-            return
-        for j in range(min(len(pools[l]), remaining // l) + 1):
-            if j:
-                acc.append((l, j))
-                choose(l - 1, remaining - j * l, acc)
-                acc.pop()
-            else:
-                choose(l - 1, remaining, acc)
+        for i in fits[remaining]:
+            if i >= below:
+                break
+            w = words[i]
+            yield from extend(prefix + (w,), remaining - len(w), i)
 
-    choose(n, n, [])
-
-    out = []
-    for profile in profiles:
-        pick_lists = [itertools.combinations(pools[l], j) for l, j in profile]
-        for picks in itertools.product(*pick_lists):
-            out.append(tuple(sorted(itertools.chain.from_iterable(picks), reverse=True)))
-    # every item has n letters, so base-q integer order is dictionary order
-    out.sort(key=lambda words: _encode(itertools.chain.from_iterable(words), q))
-    return out
+    return extend((), n, len(words))
 
 
 def edge_multiplicities(po: PseudoOrbit, graph: QNaryGraph) -> tuple[int, ...]:

@@ -132,17 +132,14 @@ class CharPolyCoefficients(_Frozen):
 
 
 def char_poly_direct(
-    U: np.ndarray,
-    max_dim: int = DEFAULT_MAX_CHARPOLY_DIM,
-    radius: float = 1.0,
+    U: np.ndarray, max_dim: int = DEFAULT_MAX_CHARPOLY_DIM
 ) -> CharPolyCoefficients:
     """Characteristic polynomial coefficients by determinant interpolation.
 
-    det(xi I - U) is evaluated at the N+1 nodes radius * e^(2 pi i j/(N+1));
-    an inverse DFT recovers the coefficients exactly (up to roundoff), and a
-    power-of-radius rescaling undoes the node scaling.  The leading
-    coefficient is pinned to its known value 1.  For unitary U the default
-    radius 1 keeps all node values within a modest dynamic range.
+    det(xi I - U) is evaluated at the N+1 nodes e^(2 pi i j/(N+1)); an
+    inverse DFT recovers the coefficients exactly (up to roundoff).  The
+    leading coefficient is pinned to its known value 1.  For unitary U the
+    unit-circle nodes keep all node values within a modest dynamic range.
     """
     import numpy as np
 
@@ -154,7 +151,7 @@ def char_poly_direct(
         raise ValueError("matrix must be at least 1 x 1")
     if N > max_dim:
         raise BudgetExceededError(f"dimension {N} exceeds cap {max_dim}")
-    nodes = radius * np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
+    nodes = np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
     # The node matrices are built and factorized a block at a time, so the
     # transient memory stays near _DET_BLOCK_BYTES, not (N+1) N^2 complex entries.
     eye = np.eye(N)
@@ -164,11 +161,9 @@ def char_poly_direct(
         block = nodes[lo : lo + step, None, None] * eye
         block -= U
         values[lo : lo + step] = np.linalg.det(block)
-    # values[j] = sum_t b_t e^(2 pi i j t/(N+1)) with b_t = c_t radius^t,
-    # where c_t is the xi^t coefficient; fft inverts that relation.
+    # values[j] = sum_t b_t e^(2 pi i j t/(N+1)), where b_t is the xi^t
+    # coefficient; fft inverts that relation.
     b = np.fft.fft(values) / (N + 1)
-    if radius != 1.0:
-        b = b / radius ** np.arange(N + 1)
     a = b[::-1].copy()
     a[0] = 1.0
     a.setflags(write=False)

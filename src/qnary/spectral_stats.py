@@ -303,6 +303,9 @@ def monte_carlo_variance(
     """
     import numpy as np
 
+    E = inst.graph.num_edges
+    if not 0 <= n <= E:
+        raise ValueError(f"coefficient index {n} outside 0..{E}")
     rows = _sampled_coefficients(inst, samples, k_max, seed)
     values = np.array([abs(a[n]) ** 2 for a in rows])
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(samples))

@@ -11,6 +11,7 @@ import pytest
 from qnary.debruijn import (
     PeriodicOrbit,
     PseudoOrbit,
+    _pseudo_orbit_tuples,
     build_graph,
     edge_multiplicities,
     primitive_periodic_orbits,
@@ -19,6 +20,8 @@ from qnary.debruijn import (
 from qnary.words import (
     BudgetExceededError,
     Word,
+    _duval,
+    _no_repeated_factor,
     count_lyndon,
     count_strictly_decreasing,
     duval_factorize,
@@ -170,6 +173,8 @@ def test_pseudo_orbit_empty_and_budget():
     assert empty[0].total_length == 0
     with pytest.raises(BudgetExceededError):
         primitive_pseudo_orbits(2, 40)
+    with pytest.raises(BudgetExceededError):
+        _pseudo_orbit_tuples(2, 40)  # at the call, before any item is requested
     with pytest.raises(ValueError):
         primitive_pseudo_orbits(2, -1)
 
@@ -192,6 +197,14 @@ def test_pseudo_orbit_emission_order_is_concatenation_order():
         keys = [po.concatenated().letters for po in orbits]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+    # the bijection itself: walking all q^n words in dictionary order and
+    # keeping the standard decompositions with no repeated factor gives the
+    # same items in the same order, without the depth-first search
+    for q, max_n in [(1, 6), (2, 14), (3, 9), (4, 7), (12, 3)]:
+        for n in range(max_n + 1):
+            words = itertools.product(range(q), repeat=n)
+            expected = [tuple(_duval(x)) for x in words if _no_repeated_factor(x)]
+            assert list(_pseudo_orbit_tuples(q, n)) == expected
 
 
 def test_pseudo_orbit_bijection_roundtrip():

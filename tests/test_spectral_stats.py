@@ -102,6 +102,9 @@ def test_monte_carlo_argument_validation():
         monte_carlo_variance(inst, 1, samples=1, k_max=1e4, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_variance(inst, 1, samples=10, k_max=0.0, seed=0)
+    for n in (-1, inst.graph.num_edges + 1):
+        with pytest.raises(ValueError, match="outside"):
+            monte_carlo_variance(inst, n, samples=10, k_max=1e4, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_coefficient_means(inst, samples=1, k_max=1e4, seed=0)
     with pytest.raises(ValueError):
