@@ -11,13 +11,8 @@ moves relative to the diagonal constant (q-1)/q as the graph grows.
 
 import argparse
 
-from qnary.quantum import build_instance
-from qnary.spectral_stats import (
-    diagonal_variance,
-    exact_grouped_variance,
-    monte_carlo_variance,
-    rmt_reference,
-)
+from qnary.debruijn import build_graph
+from qnary.spectral_stats import variance_report
 
 
 def main():
@@ -30,8 +25,7 @@ def main():
     parser.add_argument("--k-max", type=float, default=1e4)
     args = parser.parse_args()
 
-    inst = build_instance(args.q, args.m, args.seed)
-    E = inst.graph.num_edges
+    E = build_graph(args.q, args.m).num_edges
     n_max = min(args.n_max, E)
 
     header = ["n", "diag", "exact_grouped", "cue", "coe"]
@@ -39,16 +33,11 @@ def main():
         header += ["mc", "mc_se"]
     print(",".join(header))
     for n in range(0, n_max + 1):
-        row = [
-            str(n),
-            f"{diagonal_variance(args.q, n):.10g}",
-            f"{exact_grouped_variance(inst, n):.10g}",
-            f"{rmt_reference('CUE', n, E):.10g}",
-            f"{rmt_reference('COE', n, E):.10g}",
-        ]
+        # the instance is built only to sample
+        r = variance_report(args.q, args.m, n, args.seed, args.samples, args.k_max)
+        row = [str(n)] + [f"{x:.10g}" for x in (r.diag, r.exact_grouped, r.cue_ref, r.coe_ref)]
         if args.samples:
-            est, se = monte_carlo_variance(inst, n, args.samples, args.k_max, args.seed)
-            row += [f"{est:.10g}", f"{se:.2g}"]
+            row += [f"{r.mc_estimate:.10g}", f"{r.mc_std_error:.2g}"]
         print(",".join(row))
 
 

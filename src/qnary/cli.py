@@ -14,7 +14,7 @@ import sys
 
 from .debruijn import build_graph, primitive_pseudo_orbits
 from .quantum import (
-    DEFAULT_MAX_CHARPOLY_DIM,
+    _check_dimension,
     build_instance,
     char_poly_direct,
     coeff_from_pseudo_orbits,
@@ -29,6 +29,7 @@ from .words import (
     _lyndon_count_exceeds,
     _lyndon_tuples,
     _power_exceeds,
+    _strictly_decreasing_exceeds,
     count_strictly_decreasing,
     count_strictly_decreasing_bruteforce,
     duval_factorize,
@@ -88,12 +89,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _require_printable_count(q: int, n: int) -> None:
-    # (q-1) q^(n-1) < 10^D iff q^(n-1) <= (10^D - 1) // (q-1); 1 and q always fit
-    limit = 10**MAX_COUNT_DIGITS - 1
-    if n >= 2 and q >= 2 and _power_exceeds(q, n - 1, limit // (q - 1)):
-        raise BudgetExceededError(
-            f"count {q - 1}*{q}^{n - 1} has more than {MAX_COUNT_DIGITS} digits"
-        )
+    if shown := _strictly_decreasing_exceeds(q, n, 10**MAX_COUNT_DIGITS - 1):
+        raise BudgetExceededError(f"count {shown} has more than {MAX_COUNT_DIGITS} digits")
 
 
 def _cmd_lyndon_list(args) -> int:
@@ -192,6 +189,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_coeffs(args) -> int:
     _require(args.q >= 2, f"--q must be at least 2, got {args.q}")
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
+    _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
     # refuse from q and m alone, before Sigma is assembled
     E = build_graph(args.q, args.m, budget=args.budget).num_edges
     # the pseudo orbits of lengths 0..E number q^E + 1, refused without
@@ -200,9 +198,9 @@ def _cmd_coeffs(args) -> int:
         raise BudgetExceededError(
             f"{args.q}^{E} + 1 pseudo orbits of lengths 0..{E} exceed budget {args.budget}"
         )
-    if args.method in ("det", "both") and E > DEFAULT_MAX_CHARPOLY_DIM:
-        raise BudgetExceededError(f"dimension {E} exceeds cap {DEFAULT_MAX_CHARPOLY_DIM}")
-    inst = build_instance(args.q, args.m, args.seed, budget=args.budget)
+    if args.method in ("det", "both"):
+        _check_dimension(E)
+    inst = build_instance(args.q, args.m, args.seed)
 
     det_coeffs = orbit_coeffs = None
     if args.method in ("det", "both"):
@@ -251,6 +249,7 @@ def _cmd_variance(args) -> int:
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
     _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
     _require(args.samples >= 0, f"--samples must be non-negative, got {args.samples}")
+    _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
     _require_printable_count(args.q, args.n)  # the record's pseudo_orbit_count
     report = variance_report(
         args.q, args.m, args.n, seed=args.seed, samples=args.samples, k_max=args.k_max

@@ -29,7 +29,7 @@ from .words import (
     _Frozen,
     _lyndon_tuples,
     _power_exceeds,
-    count_strictly_decreasing,
+    _strictly_decreasing_exceeds,
     is_lyndon,
     lyndon_words,
 )
@@ -170,16 +170,6 @@ def primitive_pseudo_orbits(
     return [PseudoOrbit(tuple(orbits[t] for t in words), q) for words in items]
 
 
-def _check_pseudo_orbit_budget(q: int, n: int, budget: int) -> None:
-    """Refuse when the pseudo orbits of length n exceed the budget.  Their
-    count (q-1) q^(n-1) is at least q^(n-1), so past the budget it is
-    neither built nor printed: the message states it as a power."""
-    huge = n >= 2 and q >= 2 and _power_exceeds(q, n - 1, budget)
-    if huge or count_strictly_decreasing(q, n) > budget:
-        shown = f"{q - 1}*{q}^{n - 1}" if n >= 2 else q**n
-        raise BudgetExceededError(f"{shown} pseudo orbits of length {n} exceed budget {budget}")
-
-
 def _pseudo_orbit_tuples(q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
     """The pseudo orbits of length n as strictly decreasing tuples of Lyndon
     letter tuples, in the order of `primitive_pseudo_orbits`; refuses over
@@ -190,7 +180,8 @@ def _pseudo_orbit_tuples(q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGE
     at the first differing words w < v, a letter decides both orders; else w is a prefix of v,
     and by Duval's lemma a larger w-side would have a Lyndon prefix longer than its first factor w.
     """
-    _check_pseudo_orbit_budget(q, n, budget)
+    if shown := _strictly_decreasing_exceeds(q, n, budget):
+        raise BudgetExceededError(f"{shown} pseudo orbits of length {n} exceed budget {budget}")
     words = list(_lyndon_tuples(q, n)) if n else []
     # fits[r]: indices of the words of length <= r, in dictionary order
     fits = [[i for i, w in enumerate(words) if len(w) <= r] for r in range(n + 1)]

@@ -29,7 +29,7 @@ import functools
 import math
 
 from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows, build_graph
-from .words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, _Frozen, _lyndon_tuples
+from .words import BudgetExceededError, _Frozen, _lyndon_tuples
 
 DEFAULT_MAX_CHARPOLY_DIM = 64
 _DET_BLOCK_BYTES = 2**20
@@ -99,11 +99,9 @@ class SpectralInstance(_Frozen):
         self._set(graph, sigma, lengths, seed)
 
 
-def build_instance(
-    q: int, m: int, seed: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> SpectralInstance:
+def build_instance(q: int, m: int, seed: int) -> SpectralInstance:
     """Convenience constructor: graph, Sigma, and seeded edge lengths."""
-    graph = build_graph(q, m, budget=budget)
+    graph = build_graph(q, m)
     lengths = sample_edge_lengths(graph, seed)
     return SpectralInstance(graph, assemble_sigma(graph), lengths, int(seed))
 
@@ -117,6 +115,16 @@ def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
         raise ValueError(f"wavenumber must be finite, got {k}")
     phases = np.exp(1j * k * inst.lengths)
     return phases[:, None] * inst.sigma
+
+
+def _check_index(n: int, E: int) -> None:
+    if not 0 <= n <= E:
+        raise ValueError(f"coefficient index {n} outside 0..{E}")
+
+
+def _check_dimension(N: int, max_dim: int = DEFAULT_MAX_CHARPOLY_DIM) -> None:
+    if N > max_dim:
+        raise BudgetExceededError(f"dimension {N} exceeds cap {max_dim}")
 
 
 class CharPolyCoefficients(_Frozen):
@@ -149,8 +157,7 @@ def char_poly_direct(
     N = U.shape[0]
     if N < 1:
         raise ValueError("matrix must be at least 1 x 1")
-    if N > max_dim:
-        raise BudgetExceededError(f"dimension {N} exceeds cap {max_dim}")
+    _check_dimension(N, max_dim)
     nodes = np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
     # The node matrices are built and factorized a block at a time, so the
     # transient memory stays near _DET_BLOCK_BYTES, not (N+1) N^2 complex entries.
@@ -238,9 +245,7 @@ def coeff_from_pseudo_orbits(n: int, inst: SpectralInstance, k: float) -> comple
     """Coefficient a_n rebuilt from the primitive pseudo orbits of length n."""
     import numpy as np
 
-    E = inst.graph.num_edges
-    if not 0 <= n <= E:
-        raise ValueError(f"coefficient index {n} outside 0..{E}")
+    _check_index(n, inst.graph.num_edges)
     k = float(k)
     if not math.isfinite(k):
         raise ValueError(f"wavenumber must be finite, got {k}")

@@ -21,14 +21,14 @@ equal metric length.  Three routes evaluate it:
   in-edges in S, C_v the last letters of its out-edges).  Complements of
   balanced sets are balanced with equal weight, so Var(a_n) = Var(a_(E-n)).
 
-`exact_grouped_variance` evaluates n at d = min(n, E - n) by a transfer DP
-over the balanced edge sets while the DP's work stays within the number of
-pseudo orbits of length d and its live states within the default
-enumeration budget over E(d+1); past either limit it groups the pseudo
-orbits of length d, which refuses beyond the budget.  Provided the
-instance's `sigma` is `assemble_sigma(graph)`, the value, its route and the
-refusal depend on (q, m, n) alone, so `variance_report` assembles Sigma only
-to sample.
+`exact_grouped_variance` evaluates n at d = min(n, E - n).  For d <= m + 1
+distinct orbits share no edge, so it is the diagonal value.  Beyond that, a
+transfer DP over the balanced edge sets runs while its work stays within the
+number of pseudo orbits of length d and its live states within the default
+enumeration budget over E(d+1).  Past either cap the pseudo orbits of length
+d are grouped, unless they exceed the budget too: then BudgetExceededError.
+The value, its route and the refusal depend on (q, m, n) alone, so
+`variance_report` builds the instance only to sample.
 
 A Monte-Carlo estimator over uniform k samples cross-checks the pipeline,
 and circular-ensemble reference values (CUE = 1, COE = 1 + n(E-n)/(E+1))
@@ -44,8 +44,9 @@ import heapq
 
 from .debruijn import build_graph
 from .quantum import (
-    DEFAULT_MAX_CHARPOLY_DIM,
     SpectralInstance,
+    _check_dimension,
+    _check_index,
     _pseudo_orbit_terms,
     build_instance,
     char_poly_direct,
@@ -57,7 +58,7 @@ from .words import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     _Frozen,
-    _power_exceeds,
+    _strictly_decreasing_exceeds,
     count_strictly_decreasing,
 )
 
@@ -76,37 +77,33 @@ def diagonal_variance_from_orbits(inst: SpectralInstance, n: int) -> float:
 
 
 def exact_grouped_variance(inst: SpectralInstance, n: int) -> float:
-    """The k-averaged variance of a_n, exact under rationally independent lengths.
-
-    Evaluated at d = min(n, E - n).  The balanced-edge-set DP runs while its
-    work, live states summed over the edge steps, stays within the number of
-    pseudo orbits of length d, and its live states within the default
-    budget over E(d+1); past either limit the pseudo orbits of length d are
-    grouped instead, which raises BudgetExceededError when they exceed the
-    default budget.
-    """
+    """The k-averaged variance of a_n, exact under rationally independent
+    lengths, by the routes of the module docstring.  It reads q and m from the
+    instance, and nothing else: the DFT gives Sigma's entries."""
     return _exact_variance(inst.graph.q, inst.graph.m, n)
 
 
 def _exact_variance(q: int, m: int, n: int) -> float:
-    """`exact_grouped_variance` of the order-m q-nary graph: both routes
-    need only q, m and n."""
+    """`exact_grouped_variance` of the order-m q-nary graph: every route
+    needs only q, m and n."""
     E = q ** (m + 1)
-    if not 0 <= n <= E:
-        raise ValueError(f"coefficient index {n} outside 0..{E}")
+    _check_index(n, E)
     d = min(n, E - n)
-    # the DP's work is at most E * max_states <= the budget, so a max_work past
-    # the budget acts as the budget does, and a count past it is not built
-    huge = d >= 2 and _power_exceeds(q, d - 1, DEFAULT_ENUMERATION_BUDGET)
-    variances = _balanced_subset_variances(
-        q,
-        m,
-        d,
-        max_work=DEFAULT_ENUMERATION_BUDGET if huge else count_strictly_decreasing(q, d),
-        max_states=DEFAULT_ENUMERATION_BUDGET // (E * (d + 1)),
-    )
+    if d <= m + 1:
+        # an orbit of length <= m+1 has a whole period in each of its edges, so distinct
+        # orbits share no edge: each group is one pseudo orbit, with |A|^2 = q^(-d)
+        return diagonal_variance(q, d)
+    budget = DEFAULT_ENUMERATION_BUDGET
+    over = _strictly_decreasing_exceeds(q, d, budget)
+    # the DP's work stays within E * max_states <= budget: past it only the state cap binds
+    max_states = budget // (E * (d + 1))
+    max_work = budget if over else count_strictly_decreasing(q, d)
+    variances = _balanced_subset_variances(q, m, d, max_work, max_states)
     if variances is not None:
         return float(variances[d])
+    if over:
+        raise BudgetExceededError(f"balanced-set DP exceeds {max_states} live states, and "
+                                  f"{over} pseudo orbits of length {d} exceed budget {budget}")
     return _grouped_variance(q, m, d)
 
 
@@ -210,8 +207,8 @@ def _balanced_subset_variances(
     """
     import numpy as np
 
-    if max_work < q ** (m + 1) or max_states < 1:
-        return None  # every edge step costs at least one state
+    if max_states < 1:
+        return None  # the empty set alone is one live state
     steps, width = _edge_schedule(q, m)
     bits, letters = 2 * q, (1 << q) - 1
     vertex = (1 << bits) - 1
@@ -303,9 +300,7 @@ def monte_carlo_variance(
     """
     import numpy as np
 
-    E = inst.graph.num_edges
-    if not 0 <= n <= E:
-        raise ValueError(f"coefficient index {n} outside 0..{E}")
+    _check_index(n, inst.graph.num_edges)
     rows = _sampled_coefficients(inst, samples, k_max, seed)
     values = np.array([abs(a[n]) ** 2 for a in rows])
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(samples))
@@ -329,8 +324,7 @@ def monte_carlo_coefficient_means(
 
 def rmt_reference(ensemble: str, n: int, dim: int) -> float:
     """Circular-ensemble coefficient variance: CUE -> 1, COE -> 1 + n(E-n)/(E+1)."""
-    if not 0 <= n <= dim:
-        raise ValueError(f"coefficient index {n} outside 0..{dim}")
+    _check_index(n, dim)
     name = ensemble.upper()
     if name == "CUE":
         return 1.0
@@ -372,16 +366,13 @@ def variance_report(
 ) -> VarianceReport:
     """Assemble diagonal, exact-grouped, optional Monte-Carlo, and reference
     values for one (q, m, n) configuration.  Monte-Carlo fields are filled
-    only when samples > 0; samples must be 0 or at least 2.
-
-    Every refusal comes before Sigma is assembled: the determinant cap when
-    sampling, then the exact value, which needs only q, m and n.  The
-    instance is built only to sample."""
+    only when samples > 0; samples must be 0 or at least 2.  Every refusal,
+    the determinant cap when sampling first, comes before Sigma is built."""
     if samples != 0:
         _check_sampling(samples, k_max)
     E = build_graph(q, m).num_edges
-    if samples > 0 and E > DEFAULT_MAX_CHARPOLY_DIM:
-        raise BudgetExceededError(f"dimension {E} exceeds cap {DEFAULT_MAX_CHARPOLY_DIM}")
+    if samples > 0:
+        _check_dimension(E)
     exact = _exact_variance(q, m, n)
     mc_estimate = mc_std_error = None
     if samples > 0:

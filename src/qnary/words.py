@@ -309,6 +309,20 @@ def count_strictly_decreasing(q: int, n: int) -> int:
     return (q - 1) * q ** (n - 1)
 
 
+def _strictly_decreasing_exceeds(q: int, n: int, limit: int) -> str | None:
+    """count_strictly_decreasing(q, n) written as a power for messages
+    ("1*2^63"; 1 and q plain) when it exceeds limit, else None.  Bit lengths
+    decide when they suffice, so a huge count is never built."""
+    if n >= 2 and q >= 2:
+        # (q-1) q^(n-1) > limit iff q^(n-1) > limit // (q-1)
+        over = _power_exceeds(q, n - 1, limit // (q - 1))
+    else:
+        over = count_strictly_decreasing(q, n) > limit
+    if not over:
+        return None
+    return f"{q - 1}*{q}^{n - 1}" if n >= 2 else str(q**n)
+
+
 def count_strictly_decreasing_bruteforce(
     q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> int:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -23,13 +24,14 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
-def run_fresh(*argv, timeout=60):
+def run_fresh(*argv, timeout=60, **kwargs):
     # a fresh interpreter, so neither a hang nor a memory blow-up can take the
     # suite with it, and sys.modules starts empty
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout,
+        **kwargs,
     )
 
 
@@ -360,6 +362,7 @@ def test_variance_over_budget_exits_3_promptly(q, m, n):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "exceed budget" in proc.stderr
+    assert "live states" in proc.stderr  # the DP's cap tripped, then the count's
 
 
 @pytest.mark.parametrize(
@@ -402,12 +405,47 @@ def test_variance_infinite_k_max_is_usage_error(capsys):
     assert "k_max must be finite and positive, got inf" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--q", "2", "--m", "1", "--k", "1"],
+        ["variance", "--q", "2", "--m", "2", "--n", "4", "--samples", "10"],
+        ["variance", "--q", "2", "--m", "2", "--n", "4", "--samples", "0"],
+    ],
+    ids=["coeffs", "variance-sampled", "variance-exact"],
+)
+def test_negative_seed_is_usage_error_before_any_work(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before --seed was checked")
+
+    monkeypatch.setattr("qnary.cli.build_graph", fail)
+    monkeypatch.setattr("qnary.cli.variance_report", fail)
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed must be non-negative, got -1" in err
+
+
 def test_variance_exact_value_never_builds_sigma():
     # E = 2^15: Sigma would take 16 GiB, the exact value needs only q, m and n
     proc = run_fresh("-m", "qnary", "variance", "--q", "2", "--m", "14", "--n", "2",
                      "--samples", "0")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["exact_grouped"] == 0.5
+
+
+def test_variance_up_to_m_plus_one_is_the_closed_form_on_a_wide_alphabet():
+    # 99,990,000 pseudo orbits of length 2 on 10^8 edges: none is listed, no
+    # matrix is built, so the child fits in 2 GiB of address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    proc = run_fresh("-m", "qnary", "variance", "--q", "10000", "--m", "1", "--n", "2",
+                     "--samples", "0", timeout=30, preexec_fn=limit_memory)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["pseudo_orbit_count"] == 99_990_000
+    assert record["exact_grouped"] == record["diag"] == 0.9999
 
 
 def test_variance_beyond_pseudo_orbit_budget(capsys):

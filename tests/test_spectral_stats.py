@@ -278,7 +278,10 @@ def test_variance_symmetric_under_complement(q, m):
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)])
 def test_exact_equals_diagonal_up_to_m_plus_one(q, m):
+    # the public route takes the closed form there, so the grouping pins the identity
     inst = build_instance(q, m, seed=4)
+    for n in range(m + 2):
+        assert _grouped_variance(q, m, n) == pytest.approx(diagonal_variance(q, n), abs=1e-12)
     for n in range(2, m + 2):
         assert exact_grouped_variance(inst, n) == pytest.approx((q - 1) / q, abs=1e-12)
     assert abs(exact_grouped_variance(inst, m + 2) - (q - 1) / q) > 1e-3

@@ -19,6 +19,7 @@ from qnary.words import (
     _lyndon_count_exceeds,
     _lyndon_tuples,
     _no_repeated_factor,
+    _strictly_decreasing_exceeds,
     LyndonFactorization,
     Word,
     count_lyndon,
@@ -344,6 +345,18 @@ def test_closed_form_examples():
 def test_closed_form_matches_bruteforce(q, max_n):
     for n in range(0, max_n + 1):
         assert count_strictly_decreasing(q, n) == count_strictly_decreasing_bruteforce(q, n)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_strictly_decreasing_exceeds_matches_the_count(q):
+    for n in range(41):
+        c = count_strictly_decreasing(q, n)
+        shown = f"{q - 1}*{q}^{n - 1}" if n >= 2 else str(c)
+        for limit in {0, 1, q, max(c - 1, 0), c, 10**8}:
+            assert _strictly_decreasing_exceeds(q, n, limit) == (shown if c > limit else None)
+    # decided from bit lengths: q^(10^9 - 1) is never built
+    expected = f"{q - 1}*{q}^{10**9 - 1}" if q > 1 else None
+    assert _strictly_decreasing_exceeds(q, 10**9, 10**8) == expected
 
 
 def test_series_examples():
