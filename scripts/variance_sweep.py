@@ -12,7 +12,8 @@ moves relative to the diagonal constant (q-1)/q as the graph grows.
 import argparse
 
 from qnary.debruijn import build_graph
-from qnary.spectral_stats import variance_report
+from qnary.quantum import build_instance
+from qnary.spectral_stats import _sampled_variances, variance_report
 
 
 def main():
@@ -30,14 +31,19 @@ def main():
 
     header = ["n", "diag", "exact_grouped", "cue", "coe"]
     if args.samples:
+        # one sample set for every n, the numbers `variance --samples` gives
+        # each n with the same seed
+        inst = build_instance(args.q, args.m, args.seed)
+        mc, mc_se = _sampled_variances(
+            inst, range(n_max + 1), args.samples, args.k_max, args.seed
+        )
         header += ["mc", "mc_se"]
     print(",".join(header))
     for n in range(0, n_max + 1):
-        # the instance is built only to sample
-        r = variance_report(args.q, args.m, n, args.seed, args.samples, args.k_max)
+        r = variance_report(args.q, args.m, n, args.seed)
         row = [str(n)] + [f"{x:.10g}" for x in (r.diag, r.exact_grouped, r.cue_ref, r.coe_ref)]
         if args.samples:
-            row += [f"{r.mc_estimate:.10g}", f"{r.mc_std_error:.2g}"]
+            row += [f"{mc[n]:.10g}", f"{mc_se[n]:.2g}"]
         print(",".join(row))
 
 

@@ -6,9 +6,9 @@ E x E matrix Sigma.  With a diagonal matrix L of positive edge lengths,
 U(k) = e^{ikL} Sigma is the unitary evolution operator at wavenumber k.
 
 The coefficients a_n of det(xi I - U(k)) = sum_n a_n xi^(E-n) are computed
-two ways: directly, by determinant evaluation at scaled roots of unity
-followed by inverse-DFT interpolation, and as finite sums over primitive
-pseudo orbits,
+two ways: directly, by a unitary reduction of U(k) to upper Hessenberg form
+followed by La Budde's recurrence over its leading principal submatrices,
+and as finite sums over primitive pseudo orbits,
 
     a_n = sum over pseudo orbits of total length n of
           (-1)^(orbit count) * amplitude * exp(i k * metric length),
@@ -17,10 +17,15 @@ where an orbit's amplitude is the cyclic product of Sigma entries along its
 edge sequence and its metric length the sum of traversed edge lengths.
 Amplitudes are read from the DFT by the orbit's letters; they are the
 instance's own when its `sigma` is `assemble_sigma(graph)`, as built.
-Every call enumerates the pseudo orbits it needs afresh; nothing is cached
-on the instance, so a caller that evaluates many k takes `expansion_terms`
-once.  numpy is imported inside the functions that compute, so the
-combinatorial commands, which never call them, start without loading it.
+
+The direct route costs O(E^3) per matrix and takes a stack of matrices with
+the sample axis last, so the Monte-Carlo sampler in `spectral_stats` reduces
+a chunk of wavenumbers, about 256 KiB of U(k), in one call.  The orbit
+route enumerates the pseudo orbits it needs afresh on every call; nothing
+is cached on the instance, so a caller that evaluates many k takes
+`expansion_terms` once.  numpy is imported inside the functions that
+compute, so the combinatorial commands, which never call them, start
+without loading it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows,
 from .words import BudgetExceededError, _Frozen, _lyndon_tuples
 
 DEFAULT_MAX_CHARPOLY_DIM = 64
-_DET_BLOCK_BYTES = 2**20
 
 
 def dft_matrix(q: int) -> np.ndarray:
@@ -142,12 +146,10 @@ class CharPolyCoefficients(_Frozen):
 def char_poly_direct(
     U: np.ndarray, max_dim: int = DEFAULT_MAX_CHARPOLY_DIM
 ) -> CharPolyCoefficients:
-    """Characteristic polynomial coefficients by determinant interpolation.
+    """Characteristic polynomial coefficients of one square matrix, by the
+    Hessenberg reduction and La Budde's recurrence of `_char_polys`.
 
-    det(xi I - U) is evaluated at the N+1 nodes e^(2 pi i j/(N+1)); an
-    inverse DFT recovers the coefficients exactly (up to roundoff).  The
-    leading coefficient is pinned to its known value 1.  For unitary U the
-    unit-circle nodes keep all node values within a modest dynamic range.
+    The leading coefficient is pinned to its known value 1.
     """
     import numpy as np
 
@@ -158,23 +160,57 @@ def char_poly_direct(
     if N < 1:
         raise ValueError("matrix must be at least 1 x 1")
     _check_dimension(N, max_dim)
-    nodes = np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
-    # The node matrices are built and factorized a block at a time, so the
-    # transient memory stays near _DET_BLOCK_BYTES, not (N+1) N^2 complex entries.
-    eye = np.eye(N)
-    values = np.empty(N + 1, dtype=complex)
-    step = max(1, _DET_BLOCK_BYTES // (16 * N * N))
-    for lo in range(0, N + 1, step):
-        block = nodes[lo : lo + step, None, None] * eye
-        block -= U
-        values[lo : lo + step] = np.linalg.det(block)
-    # values[j] = sum_t b_t e^(2 pi i j t/(N+1)), where b_t is the xi^t
-    # coefficient; fft inverts that relation.
-    b = np.fft.fft(values) / (N + 1)
-    a = b[::-1].copy()
+    a = _char_polys(U[:, :, None])[0]
     a[0] = 1.0
     a.setflags(write=False)
     return CharPolyCoefficients(a)
+
+
+def _char_polys(A: np.ndarray) -> np.ndarray:
+    """Characteristic polynomials of a stack of N x N matrices, the sample
+    axis last: A has shape (N, N, c), and row s of the (c, N+1) result holds
+    the coefficients of det(xi I - A[:, :, s]), a[n] multiplying xi^(N-n).
+
+    Householder reflections P = I - v v^H, |v|^2 = 2, reduce each matrix to
+    upper Hessenberg form H = P...A...P by unitary similarity.  La Budde's
+    recurrence then gives the polynomial p_i of H's leading i x i block,
+
+        p_i = (xi - H[i-1,i-1]) p_(i-1)
+              - sum_(r < i-1) H[r,i-1] H[r+1,r] ... H[i-1,i-2] p_r,
+
+    O(N^3) in all (Rehman & Ipsen, "La Budde's method for computing
+    characteristic polynomials", 2011).  Every step is one broadcast over
+    the sample axis; the leading coefficient comes out exactly 1.
+    """
+    import numpy as np
+
+    H = np.array(A, dtype=complex)
+    N, c = H.shape[0], H.shape[2]
+    for j in range(N - 2):
+        # v = x + e^(i arg x_0) |x| e_1 maps column j below the diagonal onto e_1
+        x = H[j + 1 :, j]
+        size = np.abs(x[0])
+        phase = np.divide(x[0], size, out=np.ones(c, dtype=complex), where=size > 0)
+        v = x.copy()
+        v[0] += phase * np.sqrt((x.real**2 + x.imag**2).sum(axis=0))
+        norm2 = (v.real**2 + v.imag**2).sum(axis=0)
+        # a zero column needs no reflection: v = 0 is P = I
+        v *= np.sqrt(np.divide(2.0, norm2, out=np.zeros(c), where=norm2 > 0))
+        vc = v.conj()
+        H[j + 1 :, j:] -= v[:, None] * (vc[:, None] * H[j + 1 :, j:]).sum(axis=0)
+        H[:, j + 1 :] -= (H[:, j + 1 :] * v).sum(axis=1)[:, None] * vc
+    # p[i, t] is the xi^t coefficient of p_i
+    p = np.zeros((N + 1, N + 1, c), dtype=complex)
+    p[0, 0] = 1.0
+    chain = np.zeros((0, c), dtype=complex)  # chain[r] = H[r+1,r] ... H[i-1,i-2]
+    for i in range(1, N + 1):
+        p[i, 1 : i + 1] = p[i - 1, :i]
+        p[i, :i] -= H[i - 1, i - 1] * p[i - 1, :i]
+        if i >= 2:
+            chain = np.concatenate([chain, np.ones((1, c))]) * H[i - 1, i - 2]
+            weights = H[: i - 1, i - 1] * chain
+            p[i, : i - 1] -= (weights[:, None] * p[: i - 1, : i - 1]).sum(axis=0)
+    return np.ascontiguousarray(p[N, ::-1].T)
 
 
 def orbit_amplitude(orbit: PeriodicOrbit, inst: SpectralInstance) -> complex:

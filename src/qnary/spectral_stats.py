@@ -45,13 +45,12 @@ import heapq
 from .debruijn import build_graph
 from .quantum import (
     SpectralInstance,
+    _char_polys,
     _check_dimension,
     _check_index,
     _pseudo_orbit_terms,
     build_instance,
-    char_poly_direct,
     dft_matrix,
-    evolution_operator,
     expansion_terms,
 )
 from .words import (
@@ -274,6 +273,10 @@ def _balanced_subset_variances(
     return polys[0]
 
 
+# U(k) for a chunk of wavenumbers at a time: 64 draws at E = 16, 4 at E = 64
+_SAMPLE_CHUNK_BYTES = 2**18
+
+
 def _check_sampling(samples: int, k_max: float) -> None:
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -281,14 +284,53 @@ def _check_sampling(samples: int, k_max: float) -> None:
         raise ValueError(f"k_max must be finite and positive, got {k_max}")
 
 
-def _sampled_coefficients(inst: SpectralInstance, samples: int, k_max: float, seed: int):
-    """The coefficients a_0..a_E at `samples` uniform k draws on [0, k_max],
-    one array per draw; deterministic for a given seed."""
+def _check_sample_size(samples: int, E: int) -> None:
+    """Refuse, before numpy allocates, a sample the sampler could not hold:
+    past the dimension cap, or more coefficients than the budget."""
+    _check_dimension(E)
+    if samples * (E + 1) > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"{samples} samples of {E + 1} coefficients exceed "
+                                  f"budget {DEFAULT_ENUMERATION_BUDGET}")
+
+
+def _sampled_coefficients(
+    inst: SpectralInstance, ns, samples: int, k_max: float, seed: int
+) -> np.ndarray:
+    """The coefficients a_n, n in ns, at `samples` uniform k draws on
+    [0, k_max]: row i holds a_(ns[i]) at every draw.  Deterministic for a
+    given seed.
+
+    The draws come a chunk at a time from one generator, so they equal one
+    draw of `samples`.  Each chunk's U(k) is one broadcast and its
+    polynomials one `_char_polys` call; rows are reproducible for this chunk
+    rule, not bit-identical across chunk sizes.
+    """
     import numpy as np
 
+    E = inst.graph.num_edges
     _check_sampling(samples, k_max)
-    ks = np.random.default_rng(seed).uniform(0.0, k_max, size=samples)
-    return (char_poly_direct(evolution_operator(inst, k)).a for k in ks)
+    _check_sample_size(samples, E)
+    rng = np.random.default_rng(seed)
+    chunk = max(1, _SAMPLE_CHUNK_BYTES // (16 * E * E))
+    sigma = inst.sigma[:, :, None]
+    out = np.empty((len(ns), samples), dtype=complex)
+    for lo in range(0, samples, chunk):
+        ks = rng.uniform(0.0, k_max, size=min(chunk, samples - lo))
+        phases = np.exp(1j * np.multiply.outer(inst.lengths, ks))
+        out[:, lo : lo + len(ks)] = _char_polys(phases[:, None, :] * sigma)[:, ns].T
+    return out
+
+
+def _sampled_variances(
+    inst: SpectralInstance, ns, samples: int, k_max: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means of |a_n|^2, n in ns, and their standard errors, all from
+    one pass of the sampler; each n's values reduce on their own, so its
+    numbers do not depend on the other n."""
+    import numpy as np
+
+    values = np.abs(_sampled_coefficients(inst, ns, samples, k_max, seed)) ** 2
+    return values.mean(axis=1), values.std(axis=1, ddof=1) / np.sqrt(samples)
 
 
 def monte_carlo_variance(
@@ -298,12 +340,9 @@ def monte_carlo_variance(
 
     Returns (sample mean, standard error); deterministic for a given seed.
     """
-    import numpy as np
-
     _check_index(n, inst.graph.num_edges)
-    rows = _sampled_coefficients(inst, samples, k_max, seed)
-    values = np.array([abs(a[n]) ** 2 for a in rows])
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(samples))
+    mean, error = _sampled_variances(inst, [n], samples, k_max, seed)
+    return float(mean[0]), float(error[0])
 
 
 def monte_carlo_coefficient_means(
@@ -316,9 +355,9 @@ def monte_carlo_coefficient_means(
     """
     import numpy as np
 
-    coeffs = np.array(list(_sampled_coefficients(inst, samples, k_max, seed)))
-    means = coeffs.mean(axis=0)
-    spread = np.sqrt(np.mean(np.abs(coeffs - means) ** 2, axis=0))
+    coeffs = _sampled_coefficients(inst, range(inst.graph.num_edges + 1), samples, k_max, seed)
+    means = coeffs.mean(axis=1)
+    spread = np.sqrt(np.mean(np.abs(coeffs - means[:, None]) ** 2, axis=1))
     return means, spread / np.sqrt(samples)
 
 
@@ -367,12 +406,13 @@ def variance_report(
     """Assemble diagonal, exact-grouped, optional Monte-Carlo, and reference
     values for one (q, m, n) configuration.  Monte-Carlo fields are filled
     only when samples > 0; samples must be 0 or at least 2.  Every refusal,
-    the determinant cap when sampling first, comes before Sigma is built."""
+    the dimension cap and the sample budget first when sampling, comes before
+    Sigma is built."""
     if samples != 0:
         _check_sampling(samples, k_max)
     E = build_graph(q, m).num_edges
     if samples > 0:
-        _check_dimension(E)
+        _check_sample_size(samples, E)
     exact = _exact_variance(q, m, n)
     mc_estimate = mc_std_error = None
     if samples > 0:

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,17 @@ def test_variance_refuses_before_building_the_instance(capsys, monkeypatch, argv
     assert code == 3
     assert out == ""
     assert message in err
+
+
+def test_variance_oversized_sample_exits_3_promptly(capsys):
+    # the 10^12 draws alone would take 7.28 TiB
+    start = time.perf_counter()
+    code, out, err = run(capsys, "variance", "--q", "2", "--m", "1", "--n", "2",
+                         "--samples", "1000000000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert out == ""
+    assert "1000000000000 samples of 5 coefficients exceed budget 100000000" in err
 
 
 def test_variance_with_more_digits_than_int_to_str_formats_exits_3(capsys):

@@ -1,8 +1,9 @@
 """Scattering assembly, evolution operator, and coefficient computations.
 
-char_poly_direct is validated against an independent oracle that expands
-prod_j (xi - lambda_j) from the numerically computed eigenvalues, and the
-pseudo-orbit expansion is checked against the direct determinant route.
+char_poly_direct is validated against two independent oracles: one expands
+prod_j (xi - lambda_j) from the numerically computed eigenvalues, the other
+interpolates det(xi I - U) from its values at roots of unity.  The
+pseudo-orbit expansion is checked against the direct route.
 """
 
 import math
@@ -19,6 +20,7 @@ from qnary.debruijn import (
 )
 from qnary.quantum import (
     CharPolyCoefficients,
+    _char_polys,
     assemble_sigma,
     build_instance,
     char_poly_direct,
@@ -210,17 +212,30 @@ def test_char_poly_dimension_cap():
     assert isinstance(char_poly_direct(np.eye(65), max_dim=65), CharPolyCoefficients)
 
 
-@pytest.mark.parametrize("dim", [16, 64, 65])
-def test_char_poly_blocks_match_the_unblocked_stack(dim):
-    # the node matrices are evaluated in blocks; every determinant, and so
-    # every coefficient, must equal the one-stack evaluation bit for bit
+def determinant_poly_oracle(U):
+    """Interpolate det(xi I - U) from its values at the N+1 roots of unity."""
+    N = U.shape[0]
+    nodes = np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
+    values = np.linalg.det(nodes[:, None, None] * np.eye(N) - U)
+    # values[j] = sum_t b_t e^(2 pi i j t/(N+1)), b_t the xi^t coefficient
+    return (np.fft.fft(values) / (N + 1))[::-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64, 65, 128])
+def test_char_poly_matches_the_determinant_oracle(dim):
     U = random_unitary(dim, seed=dim)
-    nodes = np.exp(2j * np.pi * np.arange(dim + 1) / (dim + 1))
-    stack = nodes[:, None, None] * np.eye(dim)[None, :, :] - U[None, :, :]
-    b = np.fft.fft(np.linalg.det(stack)) / (dim + 1)
-    expected = b[::-1].copy()
-    expected[0] = 1.0
-    assert np.array_equal(char_poly_direct(U, max_dim=dim).a, expected)
+    direct = char_poly_direct(U, max_dim=dim).a
+    assert np.max(np.abs(direct - determinant_poly_oracle(U))) < 1e-12
+
+
+def test_char_poly_of_a_stack_matches_one_matrix_at_a_time():
+    # the sample axis is last; a zero column below the diagonal needs no reflection
+    stack = np.stack([random_unitary(16, seed=s) for s in range(5)] + [np.eye(16)], axis=-1)
+    rows = _char_polys(stack)
+    assert rows.shape == (6, 17)
+    for s in range(6):
+        assert np.max(np.abs(rows[s] - char_poly_direct(stack[:, :, s]).a)) < 1e-13
+    assert rows[:, 0].tolist() == [1.0] * 6
 
 
 def test_char_poly_transient_memory_is_bounded():

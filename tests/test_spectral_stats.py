@@ -11,6 +11,8 @@ from qnary.quantum import build_instance, dft_matrix, expansion_terms
 from qnary.spectral_stats import (
     _balanced_subset_variances,
     _grouped_variance,
+    _sampled_coefficients,
+    _sampled_variances,
     diagonal_variance,
     diagonal_variance_from_orbits,
     exact_grouped_variance,
@@ -19,7 +21,7 @@ from qnary.spectral_stats import (
     rmt_reference,
     variance_report,
 )
-from qnary.words import BudgetExceededError, lyndon_words
+from qnary.words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, lyndon_words
 
 
 def test_diagonal_variance_closed_form():
@@ -112,29 +114,65 @@ def test_monte_carlo_argument_validation():
 
 
 def test_monte_carlo_pinned_at_one_seed():
-    # values recorded from the two separate sampling loops this package had
-    # before they shared one sampler (x86-64, numpy 2.4 with OpenBLAS); the
-    # determinants go through LAPACK, so another BLAS may differ in the last bits
+    # recorded from the stacked Hessenberg sampler at its 256 KiB chunk rule
+    # (x86-64, numpy 2.4 with OpenBLAS); another SIMD width or chunk rule may
+    # differ in the last bits
     inst = build_instance(2, 1, seed=3)
     assert monte_carlo_variance(inst, 2, samples=50, k_max=1e4, seed=11) == (
-        0.45944936863529295,
-        0.05214142361221981,
+        0.45944936863529273,
+        0.05214142361221977,
     )
     means, ses = monte_carlo_coefficient_means(inst, samples=50, k_max=1e4, seed=11)
     assert means.tolist() == [
         1 + 0j,
-        0.1253265631576339 - 0.004244411789169273j,
-        -0.038681855226319097 + 0.006653035479705641j,
-        -0.048935591682973456 + 0.059790379247909156j,
-        -0.01345389091927124 - 0.13688079144520784j,
+        0.12532656315763419 - 0.004244411789169367j,
+        -0.03868185522631895 + 0.006653035479705574j,
+        -0.048935591682973616 + 0.05979037924790892j,
+        -0.013453890919271396 - 0.13688079144520793j,
     ]
     assert ses.tolist() == [
         0.0,
-        0.14492626985809992,
-        0.09569836151475623,
-        0.14559782729350795,
-        0.14007731020778957,
+        0.1449262698580999,
+        0.0956983615147562,
+        0.1455978272935079,
+        0.14007731020778952,
     ]
+
+
+@pytest.mark.parametrize("q,m,samples", [(2, 3, 200), (2, 5, 12), (4, 2, 12)])
+def test_every_sampled_row_is_self_inversive(q, m, samples):
+    # det(xi I - U) of a unitary U: a_(E-n) = conj(a_n) a_E, |a_E| = 1
+    inst = build_instance(q, m, seed=4)
+    E = inst.graph.num_edges
+    a = _sampled_coefficients(inst, range(E + 1), samples, 1e4, seed=9)
+    assert a.shape == (E + 1, samples)
+    assert np.max(np.abs(a[::-1] - a.conj() * a[E])) < 1e-9
+    assert np.max(np.abs(np.abs(a[E]) - 1)) < 1e-9
+    # the same seed and chunk rule reproduce every row bit for bit
+    assert np.array_equal(a, _sampled_coefficients(inst, range(E + 1), samples, 1e4, seed=9))
+
+
+def test_one_sample_set_serves_every_n():
+    inst = build_instance(2, 2, seed=7)
+    means, errors = _sampled_variances(inst, range(9), 300, 1e4, seed=5)
+    for n in range(9):
+        assert monte_carlo_variance(inst, n, 300, 1e4, seed=5) == (means[n], errors[n])
+
+
+def test_oversized_sample_is_refused_before_numpy_allocates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled past the refusal")
+
+    monkeypatch.setattr(spectral_stats, "_char_polys", refuse)
+    inst = build_instance(2, 1, seed=0)
+    samples = DEFAULT_ENUMERATION_BUDGET // 5 + 1  # E + 1 = 5 coefficients each
+    with pytest.raises(BudgetExceededError, match="coefficients exceed budget"):
+        monte_carlo_variance(inst, 2, samples, 1e4, seed=0)
+    with pytest.raises(BudgetExceededError, match="coefficients exceed budget"):
+        monte_carlo_coefficient_means(inst, samples, 1e4, seed=0)
+    monkeypatch.setattr(spectral_stats, "build_instance", refuse)
+    with pytest.raises(BudgetExceededError, match="coefficients exceed budget"):
+        variance_report(2, 1, 2, seed=0, samples=samples)
 
 
 def test_coefficient_means_zero_for_positive_n():
