@@ -41,7 +41,8 @@ def main():
     print(",".join(header))
     for n in range(0, n_max + 1):
         r = variance_report(args.q, args.m, n, args.seed)
-        row = [str(n)] + [f"{x:.10g}" for x in (r.diag, r.exact_grouped, r.cue_ref, r.coe_ref)]
+        values = (r["diag"], r["exact_grouped"], r["cue_ref"], r["coe_ref"])
+        row = [str(n)] + [f"{x:.10g}" for x in values]
         if args.samples:
             row += [f"{mc[n]:.10g}", f"{mc_se[n]:.2g}"]
         print(",".join(row))

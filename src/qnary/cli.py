@@ -9,6 +9,7 @@ output is stable across platforms.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -26,8 +27,7 @@ from .words import (
     BudgetExceededError,
     Word,
     _display,
-    _lyndon_count_exceeds,
-    _lyndon_tuples,
+    _lyndon_tuples_of_length,
     _power_exceeds,
     _strictly_decreasing_exceeds,
     count_strictly_decreasing,
@@ -62,25 +62,42 @@ def _pair(z: complex) -> str:
     return f"({_plain(z.real)}, {_plain(z.imag)})"
 
 
-# Each output goes out in one write: with unbuffered stdout every print is a
-# system call of its own.
+# Output goes out _CHUNK_LINES lines to a write: with unbuffered stdout every
+# print is a system call of its own, and a long listing is never held whole.
+_CHUNK_LINES = 4096
+
+
+def _emit(pieces) -> None:
+    pieces = iter(pieces)
+    while text := "".join(itertools.islice(pieces, _CHUNK_LINES)):
+        sys.stdout.write(text)
+
+
 def _emit_lines(lines) -> None:
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    _emit(f"{line}\n" for line in lines)
 
 
 def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _emit_json_list(items) -> None:
+    # the text of _emit_json(list(items)), one item at a time
+    quoted = map(json.dumps, items)
+    first = next(quoted, None)
+    if first is None:
+        _emit_json([])
+    else:
+        _emit(itertools.chain([f"[\n  {first}"], (f",\n  {x}" for x in quoted), ["\n]\n"]))
+
+
 def _emit_csv(header, rows) -> None:
     import csv  # only CSV output pays for the import
-    import io
+    from types import SimpleNamespace
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    # writerow returns what its file's write returns: here, the row's text
+    writer = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n")
+    _emit(map(writer.writerow, itertools.chain([header], rows)))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -96,16 +113,11 @@ def _require_printable_count(q: int, n: int) -> None:
 def _cmd_lyndon_list(args) -> int:
     _require(args.q >= 1, f"--q must be at least 1, got {args.q}")
     _require(args.l >= 1, f"--l must be at least 1, got {args.l}")
-    if _lyndon_count_exceeds(args.q, args.l, DEFAULT_ENUMERATION_BUDGET):
-        raise BudgetExceededError(
-            f"Lyndon words of length {args.l} over {args.q} letters exceed budget "
-            f"{DEFAULT_ENUMERATION_BUDGET}"
-        )
-    words = [_display(t, args.q) for t in _lyndon_tuples(args.q, args.l) if len(t) == args.l]
+    words = (_display(t, args.q) for t in _lyndon_tuples_of_length(args.q, args.l))
     if args.format == "json":
-        _emit_json(words)
+        _emit_json_list(words)
     elif args.format == "csv":
-        _emit_csv(["word"], [[w] for w in words])
+        _emit_csv(["word"], ([w] for w in words))
     else:
         _emit_lines(words)
     return EXIT_OK
@@ -251,10 +263,9 @@ def _cmd_variance(args) -> int:
     _require(args.samples >= 0, f"--samples must be non-negative, got {args.samples}")
     _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
     _require_printable_count(args.q, args.n)  # the record's pseudo_orbit_count
-    report = variance_report(
+    record = variance_report(
         args.q, args.m, args.n, seed=args.seed, samples=args.samples, k_max=args.k_max
     )
-    record = report.to_dict()
     for key, value in record.items():
         if isinstance(value, float):
             record[key] = _round12(value)

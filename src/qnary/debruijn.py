@@ -31,7 +31,6 @@ from .words import (
     _power_exceeds,
     _strictly_decreasing_exceeds,
     is_lyndon,
-    lyndon_words,
 )
 
 
@@ -96,21 +95,12 @@ class PeriodicOrbit(_Frozen):
     def topological_length(self) -> int:
         return len(self.word)
 
-    def vertex_sequence(self, m: int) -> tuple[int, ...]:
-        """The l vertices visited on the order-m graph, one per edge step."""
-        return _windows(self.word.letters, self.word.q, m)
-
     def edge_sequence(self, m: int) -> tuple[int, ...]:
         """The l edge indices of the closed walk on the order-m graph."""
         return _windows(self.word.letters, self.word.q, m + 1)
 
     def __str__(self):
         return str(self.word)
-
-
-def primitive_periodic_orbits(q: int, l: int) -> list[PeriodicOrbit]:
-    """One orbit per Lyndon word of length l, in dictionary order."""
-    return [PeriodicOrbit(w) for w in lyndon_words(q, l)]
 
 
 class PseudoOrbit(_Frozen):
@@ -127,11 +117,6 @@ class PseudoOrbit(_Frozen):
             if not a.word.letters > b.word.letters:  # one alphabet, checked above
                 raise ValueError("orbits must be distinct and strictly decreasing")
         self._set(orbits, q)
-
-    @classmethod
-    def from_orbits(cls, orbits, q: int) -> PseudoOrbit:
-        ordered = sorted(orbits, key=lambda o: o.word.letters, reverse=True)
-        return cls(tuple(ordered), q)
 
     @property
     def num_orbits(self) -> int:

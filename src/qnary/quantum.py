@@ -63,13 +63,10 @@ def assemble_sigma(graph: QNaryGraph) -> np.ndarray:
 
     q = graph.q
     V, E = graph.num_vertices, graph.num_edges
-    dft = dft_matrix(q)
-    entries = np.zeros((E, E), dtype=complex)
-    for v in range(V):
-        for b in range(q):
-            e_in = b * V + v
-            for c in range(q):
-                entries[v * q + c, e_in] = dft[c, b]
+    # axes (v, c, b, v'): row v q + c is the out-edge v.c, column b V + v' the in-edge b.v'
+    entries = np.zeros((V, q, q, V), dtype=complex)
+    entries[np.arange(V), :, :, np.arange(V)] = dft_matrix(q)
+    entries = entries.reshape(E, E)
     entries.setflags(write=False)
     return entries
 
@@ -126,9 +123,9 @@ def _check_index(n: int, E: int) -> None:
         raise ValueError(f"coefficient index {n} outside 0..{E}")
 
 
-def _check_dimension(N: int, max_dim: int = DEFAULT_MAX_CHARPOLY_DIM) -> None:
-    if N > max_dim:
-        raise BudgetExceededError(f"dimension {N} exceeds cap {max_dim}")
+def _check_dimension(N: int) -> None:
+    if N > DEFAULT_MAX_CHARPOLY_DIM:
+        raise BudgetExceededError(f"dimension {N} exceeds cap {DEFAULT_MAX_CHARPOLY_DIM}")
 
 
 class CharPolyCoefficients(_Frozen):
@@ -143,9 +140,7 @@ class CharPolyCoefficients(_Frozen):
         self._set(a)
 
 
-def char_poly_direct(
-    U: np.ndarray, max_dim: int = DEFAULT_MAX_CHARPOLY_DIM
-) -> CharPolyCoefficients:
+def char_poly_direct(U: np.ndarray) -> CharPolyCoefficients:
     """Characteristic polynomial coefficients of one square matrix, by the
     Hessenberg reduction and La Budde's recurrence of `_char_polys`.
 
@@ -159,7 +154,7 @@ def char_poly_direct(
     N = U.shape[0]
     if N < 1:
         raise ValueError("matrix must be at least 1 x 1")
-    _check_dimension(N, max_dim)
+    _check_dimension(N)
     a = _char_polys(U[:, :, None])[0]
     a[0] = 1.0
     a.setflags(write=False)

@@ -51,12 +51,10 @@ from .quantum import (
     _pseudo_orbit_terms,
     build_instance,
     dft_matrix,
-    expansion_terms,
 )
 from .words import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
-    _Frozen,
     _strictly_decreasing_exceeds,
     count_strictly_decreasing,
 )
@@ -65,14 +63,6 @@ from .words import (
 def diagonal_variance(q: int, n: int) -> float:
     """Closed-form diagonal approximation: Str * q^(-n), i.e. (q-1)/q for n >= 2."""
     return count_strictly_decreasing(q, n) / q**n
-
-
-def diagonal_variance_from_orbits(inst: SpectralInstance, n: int) -> float:
-    """Sum of |amplitude|^2 over the enumerated pseudo orbits of length n."""
-    import numpy as np
-
-    weights, _ = expansion_terms(inst, n)
-    return float(np.sum(np.abs(weights) ** 2))
 
 
 def exact_grouped_variance(inst: SpectralInstance, n: int) -> float:
@@ -372,29 +362,6 @@ def rmt_reference(ensemble: str, n: int, dim: int) -> float:
     raise ValueError(f"unknown ensemble {ensemble!r}, expected CUE or COE")
 
 
-class VarianceReport(_Frozen):
-    """One coefficient-variance record, JSON-serializable via to_dict()."""
-
-    __slots__ = (
-        "q", "m", "n", "seed", "samples", "pseudo_orbit_count", "diag", "exact_grouped",
-        "cue_ref", "coe_ref", "mc_estimate", "mc_std_error", "k_max",
-    )
-
-    def __init__(
-        self, q: int, m: int, n: int, seed: int, samples: int, pseudo_orbit_count: int,
-        diag: float, exact_grouped: float, cue_ref: float, coe_ref: float,
-        mc_estimate: float | None = None, mc_std_error: float | None = None,
-        k_max: float | None = None,
-    ):
-        self._set(q, m, n, seed, samples, pseudo_orbit_count, diag, exact_grouped,
-                  cue_ref, coe_ref, mc_estimate, mc_std_error, k_max)
-
-    def to_dict(self) -> dict:
-        # the last three fields, the Monte-Carlo ones, only when sampled
-        names = self.__slots__ if self.samples > 0 else self.__slots__[:-3]
-        return {name: getattr(self, name) for name in names}
-
-
 def variance_report(
     q: int,
     m: int,
@@ -402,24 +369,29 @@ def variance_report(
     seed: int,
     samples: int = 0,
     k_max: float = 1e4,
-) -> VarianceReport:
-    """Assemble diagonal, exact-grouped, optional Monte-Carlo, and reference
-    values for one (q, m, n) configuration.  Monte-Carlo fields are filled
-    only when samples > 0; samples must be 0 or at least 2.  Every refusal,
-    the dimension cap and the sample budget first when sampling, comes before
-    Sigma is built."""
+) -> dict:
+    """One (q, m, n) record as a JSON-serializable dict, keys in output
+    order: the configuration, the pseudo-orbit count, the diagonal,
+    exact-grouped and reference values, then, only when samples > 0, the
+    Monte-Carlo keys mc_estimate, mc_std_error and k_max.  samples must be
+    0 or at least 2.  Every refusal, the dimension cap and the sample budget
+    first when sampling, comes before Sigma is built."""
     if samples != 0:
         _check_sampling(samples, k_max)
     E = build_graph(q, m).num_edges
     if samples > 0:
         _check_sample_size(samples, E)
     exact = _exact_variance(q, m, n)
-    mc_estimate = mc_std_error = None
+    record = {
+        "q": q, "m": m, "n": n, "seed": seed, "samples": samples,
+        "pseudo_orbit_count": count_strictly_decreasing(q, n),
+        "diag": diagonal_variance(q, n), "exact_grouped": exact,
+        "cue_ref": rmt_reference("CUE", n, E), "coe_ref": rmt_reference("COE", n, E),
+    }
     if samples > 0:
         inst = build_instance(q, m, seed)
-        mc_estimate, mc_std_error = monte_carlo_variance(inst, n, samples, k_max, seed)
-    return VarianceReport(
-        q, m, n, seed, samples, count_strictly_decreasing(q, n), diagonal_variance(q, n),
-        exact, rmt_reference("CUE", n, E), rmt_reference("COE", n, E),
-        mc_estimate, mc_std_error, k_max if samples > 0 else None,
-    )
+        record["mc_estimate"], record["mc_std_error"] = monte_carlo_variance(
+            inst, n, samples, k_max, seed
+        )
+        record["k_max"] = k_max
+    return record

@@ -229,13 +229,25 @@ def _lyndon_tuples(q: int, max_len: int):
         yield tuple(w)
 
 
+def _lyndon_tuples_of_length(q: int, l: int):
+    """The Lyndon words of length exactly l as letter tuples, in dictionary
+    order, for q >= 1 and l >= 1; refuses over the default budget at the call
+    and then yields lazily."""
+    if _lyndon_count_exceeds(q, l, DEFAULT_ENUMERATION_BUDGET):
+        raise BudgetExceededError(
+            f"Lyndon words of length {l} over {q} letters exceed budget "
+            f"{DEFAULT_ENUMERATION_BUDGET}"
+        )
+    return (t for t in _lyndon_tuples(q, l) if len(t) == l)
+
+
 def lyndon_words(q: int, l: int) -> list[Word]:
     """All Lyndon words of length exactly l, in dictionary order."""
     if q < 1:
         raise ValueError(f"alphabet size must be at least 1, got {q}")
     if l < 1:
         raise ValueError(f"word length must be at least 1, got {l}")
-    return [Word(t, q) for t in _lyndon_tuples(q, l) if len(t) == l]
+    return [Word(t, q) for t in _lyndon_tuples_of_length(q, l)]
 
 
 def _mobius(n: int) -> int:

@@ -19,9 +19,9 @@ from qnary.quantum import (
     char_poly_direct,
     coeff_from_pseudo_orbits,
     evolution_operator,
+    expansion_terms,
 )
 from qnary.spectral_stats import (
-    diagonal_variance_from_orbits,
     exact_grouped_variance,
     monte_carlo_coefficient_means,
     monte_carlo_variance,
@@ -145,9 +145,9 @@ def test_criterion_07_diagonal_variance_closed_form():
         for q, m, n_max in ((2, 1, 8), (2, 2, 8), (3, 1, 7), (5, 1, 5)):
             inst = build_instance(q, m, seed=3)
             for n in range(2, n_max + 1):
-                assert diagonal_variance_from_orbits(inst, n) == pytest.approx(
-                    (q - 1) / q, abs=1e-12
-                )
+                # sum of |amplitude|^2 over the enumerated pseudo orbits of length n
+                weights, _ = expansion_terms(inst, n)
+                assert np.sum(np.abs(weights) ** 2) == pytest.approx((q - 1) / q, abs=1e-12)
 
 
 def test_criterion_08_unitarity_and_self_inversive_suites():

@@ -84,6 +84,53 @@ def test_lyndon_list_within_budget_is_unchanged():
     assert len(proc.stdout.splitlines()) == 14532
 
 
+def one_shot_listing(q, l, fmt):
+    # the whole output built at once, as json.dumps and csv.writer give it
+    words = [str(w) for w in lyndon_words(q, l)]
+    if fmt == "json":
+        return json.dumps(words, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([["word"]] + [[w] for w in words])
+        return buf.getvalue()
+    return "".join(f"{w}\n" for w in words)
+
+
+# no words at q = 1, l = 2; comma-bearing words quoted in CSV at q = 12; and
+# 7,710 words at q = 2, l = 17, which take two chunks
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("q,l", [(1, 2), (12, 3), (2, 17)])
+def test_lyndon_list_streams_the_one_shot_output(capsys, q, l, fmt):
+    code, out, err = run(capsys, "lyndon", "list", "--q", str(q), "--l", str(l), "--format", fmt)
+    assert code == 0 and err == ""
+    assert out == one_shot_listing(q, l, fmt)
+
+
+# Runs the CLI as a grandchild with stdout to a file and prints its exit code
+# and peak RSS in KiB.  os.wait4 reports the grandchild's own high-water mark;
+# the floor Linux carries into it is this small launcher, not the test process.
+RSS_PROBE = """
+import os, sys
+path, *argv = sys.argv[1:]
+out = [(os.POSIX_SPAWN_OPEN, 1, path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)]
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "qnary", *argv], os.environ,
+                     file_actions=out)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_lyndon_list_streams_in_bounded_memory(tmp_path):
+    # 190,557 words: held whole, the listing peaked at 51.7 MiB
+    path = tmp_path / "words.txt"
+    proc = run_fresh("-c", RSS_PROBE, str(path), "lyndon", "list", "--q", "2", "--l", "22")
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 30 * 1024
+    assert path.read_text() == "".join(f"{w}\n" for w in lyndon_words(2, 22))
+
+
 # --- factorize ---------------------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from qnary.debruijn import (
     _pseudo_orbit_tuples,
     build_graph,
     edge_multiplicities,
-    primitive_periodic_orbits,
     primitive_pseudo_orbits,
 )
 from qnary.words import (
@@ -25,6 +24,7 @@ from qnary.words import (
     count_lyndon,
     count_strictly_decreasing,
     duval_factorize,
+    lyndon_words,
 )
 
 
@@ -99,24 +99,23 @@ def test_degrees_and_connectivity(q, m):
 
 
 def test_orbit_vertex_cycle_example():
+    # the vertices visited are the origins of the walk's edges
     orbit = PeriodicOrbit(w("0001"))
     g = build_graph(2, 3)
     expected = [index(s) for s in ["000", "001", "010", "100"]]
-    assert list(orbit.vertex_sequence(3)) == expected
+    assert [g.edge_origin(e) for e in orbit.edge_sequence(3)] == expected
 
 
 def test_orbit_shorter_than_order_wraps():
     orbit = PeriodicOrbit(w("0"))
     g = build_graph(2, 3)
     assert orbit.edge_sequence(3) == (index("0000"),)
-    assert orbit.vertex_sequence(3) == (index("000"),)
 
 
 def test_orbit_edge_sequence_example():
     orbit = PeriodicOrbit(w("01"))
     g = build_graph(2, 2)
     assert orbit.edge_sequence(2) == (index("010"), index("101"))
-    assert orbit.vertex_sequence(2) == (index("01"), index("10"))
 
 
 def test_orbit_rejects_non_lyndon():
@@ -129,11 +128,12 @@ def test_orbit_rejects_non_lyndon():
 
 
 def test_primitive_periodic_orbits_counts():
-    orbits = primitive_periodic_orbits(2, 4)
+    # one orbit per Lyndon word, in dictionary order
+    orbits = [PeriodicOrbit(word) for word in lyndon_words(2, 4)]
     assert [str(o) for o in orbits] == ["0001", "0011", "0111"]
-    assert [str(o) for o in primitive_periodic_orbits(2, 1)] == ["0", "1"]
+    assert [str(PeriodicOrbit(word)) for word in lyndon_words(2, 1)] == ["0", "1"]
     # L_2(6) = (2^6 - 2^3 - 2^2 + 2)/6 = 9
-    assert len(primitive_periodic_orbits(2, 6)) == 9
+    assert len([PeriodicOrbit(word) for word in lyndon_words(2, 6)]) == 9
 
 
 @pytest.mark.parametrize("q,max_l", [(2, 8), (3, 8)])
@@ -141,7 +141,7 @@ def test_orbit_walks_are_closed_and_connected(q, max_l):
     for m in range(1, 5):
         g = build_graph(q, m)
         for l in range(1, max_l + 1):
-            for orbit in primitive_periodic_orbits(q, l):
+            for orbit in map(PeriodicOrbit, lyndon_words(q, l)):
                 edges = orbit.edge_sequence(m)
                 assert len(edges) == l
                 for i, e in enumerate(edges):
@@ -220,18 +220,16 @@ def test_pseudo_orbit_validation():
         PseudoOrbit((PeriodicOrbit(w("0")), PeriodicOrbit(w("1"))), 2)  # increasing
     with pytest.raises(ValueError):
         PseudoOrbit((PeriodicOrbit(w("1")), PeriodicOrbit(w("1"))), 2)  # repeated
-    po = PseudoOrbit.from_orbits([PeriodicOrbit(w("0")), PeriodicOrbit(w("1"))], 2)
+    po = PseudoOrbit((PeriodicOrbit(w("1")), PeriodicOrbit(w("0"))), 2)
     assert str(po) == "{1,0}"
 
 
 def test_pseudo_orbit_rendering_large_alphabet():
     # above ten letters the words themselves carry commas, so the set
     # separator switches to ";"
-    single = PseudoOrbit.from_orbits([PeriodicOrbit(Word((0, 1), 12))], 12)
+    single = PseudoOrbit((PeriodicOrbit(Word((0, 1), 12)),), 12)
     assert str(single) == "{0,1}"
-    pair = PseudoOrbit.from_orbits(
-        [PeriodicOrbit(Word((1,), 12)), PeriodicOrbit(Word((0,), 12))], 12
-    )
+    pair = PseudoOrbit((PeriodicOrbit(Word((1,), 12)), PeriodicOrbit(Word((0,), 12))), 12)
     assert str(pair) == "{1;0}"
 
 
@@ -335,22 +333,20 @@ def test_graph_native_oracle_matches_word_enumeration():
 
 def test_edge_multiplicities_examples():
     g3 = build_graph(2, 3)
-    po = PseudoOrbit.from_orbits([PeriodicOrbit(w("0"))], 2)
+    po = PseudoOrbit((PeriodicOrbit(w("0")),), 2)
     vec = edge_multiplicities(po, g3)
     assert vec[index("0000")] == 1
     assert sum(vec) == 1
 
     g2 = build_graph(2, 2)
-    po = PseudoOrbit.from_orbits([PeriodicOrbit(w("01"))], 2)
+    po = PseudoOrbit((PeriodicOrbit(w("01")),), 2)
     vec = edge_multiplicities(po, g2)
     expected = [0] * g2.num_edges
     expected[index("010")] = 1
     expected[index("101")] = 1
     assert vec == tuple(expected)
 
-    po = PseudoOrbit.from_orbits(
-        [PeriodicOrbit(w("1")), PeriodicOrbit(w("01")), PeriodicOrbit(w("0"))], 2
-    )
+    po = PseudoOrbit((PeriodicOrbit(w("1")), PeriodicOrbit(w("01")), PeriodicOrbit(w("0"))), 2)
     assert sum(edge_multiplicities(po, g2)) == 4
 
 

@@ -15,7 +15,6 @@ import pytest
 from qnary.debruijn import (
     PeriodicOrbit,
     build_graph,
-    primitive_periodic_orbits,
     primitive_pseudo_orbits,
 )
 from qnary.quantum import (
@@ -31,7 +30,7 @@ from qnary.quantum import (
     orbit_amplitude,
     sample_edge_lengths,
 )
-from qnary.words import BudgetExceededError, Word
+from qnary.words import BudgetExceededError, Word, lyndon_words
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -115,6 +114,20 @@ def test_sigma_sparsity_pattern_and_moduli(q, m):
         for e_in in nonzero:
             assert g.edge_terminus(int(e_in)) == g.edge_origin(e_out)
             assert abs(row[e_in]) == pytest.approx(1.0 / math.sqrt(q), abs=1e-12)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 3), (3, 2), (4, 1), (5, 1)])
+def test_sigma_equals_the_vertex_by_vertex_loop(q, m):
+    # the reference fills one DFT block per vertex v: out-edge v.c, in-edge b.v
+    g = build_graph(q, m)
+    V = g.num_vertices
+    dft = dft_matrix(q)
+    reference = np.zeros((g.num_edges, g.num_edges), dtype=complex)
+    for v in range(V):
+        for b in range(q):
+            for c in range(q):
+                reference[v * q + c, b * V + v] = dft[c, b]
+    assert np.array_equal(assemble_sigma(g), reference)
 
 
 # --- edge lengths ---------------------------------------------------------------
@@ -207,9 +220,11 @@ def test_char_poly_matches_eigenvalue_oracle(dim):
 
 
 def test_char_poly_dimension_cap():
+    assert isinstance(char_poly_direct(np.eye(64)), CharPolyCoefficients)
     with pytest.raises(BudgetExceededError):
         char_poly_direct(np.eye(65))
-    assert isinstance(char_poly_direct(np.eye(65), max_dim=65), CharPolyCoefficients)
+    # the cap refuses, not the stacked routine behind it
+    assert _char_polys(np.eye(65)[:, :, None]).shape == (1, 66)
 
 
 def determinant_poly_oracle(U):
@@ -224,7 +239,8 @@ def determinant_poly_oracle(U):
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64, 65, 128])
 def test_char_poly_matches_the_determinant_oracle(dim):
     U = random_unitary(dim, seed=dim)
-    direct = char_poly_direct(U, max_dim=dim).a
+    # past the dimension cap, the stacked routine behind char_poly_direct
+    direct = char_poly_direct(U).a if dim <= 64 else _char_polys(U[:, :, None])[0]
     assert np.max(np.abs(direct - determinant_poly_oracle(U))) < 1e-12
 
 
@@ -243,7 +259,7 @@ def test_char_poly_transient_memory_is_bounded():
     U = random_unitary(128, seed=5)
     tracemalloc.start()
     try:
-        char_poly_direct(U, max_dim=128)
+        _char_polys(U[:, :, None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,7 +301,7 @@ def test_orbit_amplitude_is_the_cyclic_product_of_sigma_entries(q, m):
     inst = build_instance(q, m, seed=0)
     sigma = assemble_sigma(inst.graph)
     for length in range(1, 2 * m + 3):
-        for orbit in primitive_periodic_orbits(q, length):
+        for orbit in map(PeriodicOrbit, lyndon_words(q, length)):
             edges = orbit.edge_sequence(m)
             product = 1 + 0j
             for i, e in enumerate(edges):

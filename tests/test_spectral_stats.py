@@ -14,7 +14,6 @@ from qnary.spectral_stats import (
     _sampled_coefficients,
     _sampled_variances,
     diagonal_variance,
-    diagonal_variance_from_orbits,
     exact_grouped_variance,
     monte_carlo_coefficient_means,
     monte_carlo_variance,
@@ -39,23 +38,21 @@ def test_diagonal_variance_closed_form():
     "q,m,max_n", [(2, 1, 8), (2, 2, 8), (3, 1, 7), (5, 1, 5)]
 )
 def test_diagonal_variance_from_orbits_matches_closed_form(q, m, max_n):
+    # sum of |amplitude|^2 over the enumerated pseudo orbits of length n
     inst = build_instance(q, m, seed=2)
     for n in range(0, max_n + 1):
-        assert diagonal_variance_from_orbits(inst, n) == pytest.approx(
-            diagonal_variance(q, n), abs=1e-12
-        )
+        from_orbits = np.sum(np.abs(expansion_terms(inst, n)[0]) ** 2)
+        assert from_orbits == pytest.approx(diagonal_variance(q, n), abs=1e-12)
         if n >= 2:
-            assert diagonal_variance_from_orbits(inst, n) == pytest.approx(
-                (q - 1) / q, abs=1e-12
-            )
+            assert from_orbits == pytest.approx((q - 1) / q, abs=1e-12)
 
 
 def test_diagonal_variance_from_orbits_examples():
     inst = build_instance(2, 2, seed=2)
-    assert diagonal_variance_from_orbits(inst, 4) == pytest.approx(0.5, abs=1e-12)
-    assert diagonal_variance_from_orbits(inst, 0) == pytest.approx(1.0, abs=1e-15)
+    assert np.sum(np.abs(expansion_terms(inst, 4)[0]) ** 2) == pytest.approx(0.5, abs=1e-12)
+    assert np.sum(np.abs(expansion_terms(inst, 0)[0]) ** 2) == pytest.approx(1.0, abs=1e-15)
     inst3 = build_instance(3, 1, seed=2)
-    assert diagonal_variance_from_orbits(inst3, 3) == pytest.approx(2 / 3, abs=1e-12)
+    assert np.sum(np.abs(expansion_terms(inst3, 3)[0]) ** 2) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_exact_grouped_equals_diagonal_when_groups_are_singletons():
@@ -202,8 +199,11 @@ def test_diagonal_gap_to_cue_shrinks_with_q():
 
 
 def test_variance_report_fields():
-    report = variance_report(2, 2, 4, seed=7, samples=0)
-    record = report.to_dict()
+    record = variance_report(2, 2, 4, seed=7, samples=0)
+    assert list(record) == [
+        "q", "m", "n", "seed", "samples", "pseudo_orbit_count", "diag", "exact_grouped",
+        "cue_ref", "coe_ref",
+    ]
     assert record["diag"] == pytest.approx(0.5)
     assert record["cue_ref"] == 1.0
     assert record["pseudo_orbit_count"] == 8
@@ -214,9 +214,9 @@ def test_variance_report_fields():
 
 
 def test_variance_report_q5():
-    report = variance_report(5, 1, 3, seed=1, samples=0)
-    assert report.diag == pytest.approx(0.8)
-    assert report.pseudo_orbit_count == 4 * 25
+    record = variance_report(5, 1, 3, seed=1, samples=0)
+    assert record["diag"] == pytest.approx(0.8)
+    assert record["pseudo_orbit_count"] == 4 * 25
 
 
 def test_variance_report_checks_sampling_before_exact_value(monkeypatch):
@@ -250,13 +250,13 @@ def test_exact_value_never_builds_sigma(monkeypatch):
     expected = _balanced_subset_variances(2, 3, 5, **FULL_DP)[5]
     monkeypatch.setattr(spectral_stats, "build_instance", refuse)
     monkeypatch.setattr(quantum, "assemble_sigma", refuse)
-    report = variance_report(2, 3, 5, seed=0)
-    assert report.exact_grouped == pytest.approx(expected, abs=1e-12)
+    record = variance_report(2, 3, 5, seed=0)
+    assert record["exact_grouped"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_variance_report_with_mc():
-    report = variance_report(2, 2, 4, seed=7, samples=400, k_max=500.0)
-    record = report.to_dict()
+    record = variance_report(2, 2, 4, seed=7, samples=400, k_max=500.0)
+    assert list(record)[-3:] == ["mc_estimate", "mc_std_error", "k_max"]
     assert record["samples"] == 400
     assert record["k_max"] == 500.0
     assert record["mc_std_error"] > 0

@@ -247,6 +247,13 @@ def test_lyndon_words_rejects_bad_length():
         lyndon_words(2, 0)
 
 
+@pytest.mark.parametrize("length", [40, 10**9])
+def test_lyndon_words_over_budget_are_refused_before_any_is_built(length):
+    # about 2^40/40 words, and at l = 10^9 a count that is never built
+    with pytest.raises(BudgetExceededError, match=f"Lyndon words of length {length} over 2"):
+        lyndon_words(2, length)
+
+
 def test_lyndon_words_one_letter_alphabet():
     assert [x.letters for x in lyndon_words(1, 1)] == [(0,)]
     assert lyndon_words(1, 3) == []
@@ -414,7 +421,6 @@ def test_value_types_are_immutable_values_that_pickle():
         qnary.build_graph(2, 3),
         qnary.PeriodicOrbit(w("01")),
         qnary.primitive_pseudo_orbits(2, 4)[3],
-        qnary.VarianceReport(2, 2, 4, 7, 0, 8, 0.5, 0.75, 1.0, 2.7),
     ]
     for value in values:
         name = type(value).__slots__[0]
