@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 
-from .debruijn import build_graph, primitive_pseudo_orbits
+from .debruijn import _braced, _pseudo_orbit_tuples, build_graph
 from .quantum import (
     _check_dimension,
     build_instance,
@@ -81,14 +81,22 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_json_list(items) -> None:
-    # the text of _emit_json(list(items)), one item at a time
-    quoted = map(json.dumps, items)
+def _emit_json_list(value) -> None:
+    # the text of _emit_json(value), one list item at a time: value is an
+    # iterable of items, or a record whose last value is one
+    shell, items, pad = [], value, "\n  "
+    if isinstance(value, dict):
+        *_, (key, items) = value.items()
+        shell, pad = {**value, key: []}, "\n    "
+    quoted = (json.dumps(x, indent=2).replace("\n", pad) for x in items)
     first = next(quoted, None)
     if first is None:
-        _emit_json([])
+        _emit_json(shell)
     else:
-        _emit(itertools.chain([f"[\n  {first}"], (f",\n  {x}" for x in quoted), ["\n]\n"]))
+        # the items go where the shell's text has its empty list, closed one level out
+        head, _, tail = json.dumps(shell, indent=2).rpartition("[]")
+        rest = (f",{pad}{x}" for x in quoted)
+        _emit(itertools.chain([f"{head}[{pad}{first}"], rest, [f"{pad[:-2]}]{tail}\n"]))
 
 
 def _emit_csv(header, rows) -> None:
@@ -177,24 +185,18 @@ def _cmd_orbits(args) -> int:
     _require(args.q >= 2, f"--q must be at least 2, got {args.q}")
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
     _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
-    orbits = primitive_pseudo_orbits(args.q, args.n, budget=args.budget)
+    words, items = _pseudo_orbit_tuples(args.q, args.n, budget=args.budget)
+    shown = [_display(w, args.q) for w in words]
+    orbits = ([shown[i] for i in item] for item in items)
+    count = count_strictly_decreasing(args.q, args.n)
     if args.format == "json":
-        _emit_json(
-            {
-                "q": args.q,
-                "m": args.m,
-                "n": args.n,
-                "count": len(orbits),
-                "pseudo_orbits": [[str(w) for w in po.words] for po in orbits],
-            }
-        )
+        record = {"q": args.q, "m": args.m, "n": args.n, "count": count, "pseudo_orbits": orbits}
+        _emit_json_list(record)
     elif args.format == "csv":
-        _emit_csv(
-            ["pseudo_orbit", "num_orbits", "total_length"],
-            [[str(po), po.num_orbits, po.total_length] for po in orbits],
-        )
+        rows = ([_braced(po, args.q), len(po), args.n] for po in orbits)
+        _emit_csv(["pseudo_orbit", "num_orbits", "total_length"], rows)
     else:
-        _emit_lines([*orbits, f"count={len(orbits)}"])
+        _emit_lines(itertools.chain((_braced(po, args.q) for po in orbits), [f"count={count}"]))
     return EXIT_OK
 
 

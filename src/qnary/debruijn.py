@@ -15,9 +15,10 @@ distinct primitive orbits; concatenating its words in strictly decreasing
 order puts these sets in bijection with the words whose standard
 decomposition has no repeated factor.
 
-Inside the package a pseudo orbit is that strictly decreasing tuple of
-Lyndon letter tuples; `PeriodicOrbit` and `PseudoOrbit` objects are built
-only where a caller asks for them.  Nothing is cached between calls.
+Inside the package a pseudo orbit is a strictly decreasing tuple of
+indices into one table of Lyndon letter tuples, built once per enumeration;
+`PeriodicOrbit` and `PseudoOrbit` objects are built only where a caller
+asks for them.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -91,10 +92,6 @@ class PeriodicOrbit(_Frozen):
             raise ValueError(f"orbit representative {word} is not a Lyndon word")
         self._set(word)
 
-    @property
-    def topological_length(self) -> int:
-        return len(self.word)
-
     def edge_sequence(self, m: int) -> tuple[int, ...]:
         """The l edge indices of the closed walk on the order-m graph."""
         return _windows(self.word.letters, self.word.q, m + 1)
@@ -119,14 +116,6 @@ class PseudoOrbit(_Frozen):
         self._set(orbits, q)
 
     @property
-    def num_orbits(self) -> int:
-        return len(self.orbits)
-
-    @property
-    def total_length(self) -> int:
-        return sum(o.topological_length for o in self.orbits)
-
-    @property
     def words(self) -> tuple[Word, ...]:
         return tuple(o.word for o in self.orbits)
 
@@ -135,10 +124,13 @@ class PseudoOrbit(_Frozen):
         return Word(letters, self.q)
 
     def __str__(self):
-        # comma-separated words render with commas above q = 10, so switch
-        # the set separator to keep the display unambiguous
-        sep = "," if self.q <= 10 else ";"
-        return "{" + sep.join(str(o.word) for o in self.orbits) + "}"
+        return _braced([str(o.word) for o in self.orbits], self.q)
+
+
+def _braced(shown: list[str], q: int) -> str:
+    # comma-separated words render with commas above q = 10, so switch
+    # the set separator to keep the display unambiguous
+    return "{" + ("," if q <= 10 else ";").join(shown) + "}"
 
 
 def primitive_pseudo_orbits(
@@ -150,15 +142,16 @@ def primitive_pseudo_orbits(
     decreasing word; n = 0 yields the single empty pseudo orbit.  The
     enumeration depends only on (q, n), not on the graph order.
     """
-    items = _pseudo_orbit_tuples(q, n, budget)
-    orbits = {t: PeriodicOrbit(Word(t, q)) for t in _lyndon_tuples(q, n)}
-    return [PseudoOrbit(tuple(orbits[t] for t in words), q) for words in items]
+    words, items = _pseudo_orbit_tuples(q, n, budget)
+    orbits = [PeriodicOrbit(Word(w, q)) for w in words]
+    return [PseudoOrbit(tuple(orbits[i] for i in item), q) for item in items]
 
 
 def _pseudo_orbit_tuples(q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """The pseudo orbits of length n as strictly decreasing tuples of Lyndon
-    letter tuples, in the order of `primitive_pseudo_orbits`; refuses over
-    the budget at the call and then yields lazily.
+    """(words, items): the Lyndon letter tuples of length <= n in dictionary
+    order, and a generator of the pseudo orbits of length n as strictly
+    decreasing tuples of indices into words, in the order of
+    `primitive_pseudo_orbits`.  Refuses over the budget at the call.
 
     Depth first: each word in dictionary order, then the strictly smaller
     words that fit the remaining length.  That is concatenation order, since
@@ -178,10 +171,9 @@ def _pseudo_orbit_tuples(q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGE
         for i in fits[remaining]:
             if i >= below:
                 break
-            w = words[i]
-            yield from extend(prefix + (w,), remaining - len(w), i)
+            yield from extend(prefix + (i,), remaining - len(words[i]), i)
 
-    return extend((), n, len(words))
+    return words, extend((), n, len(words))
 
 
 def edge_multiplicities(po: PseudoOrbit, graph: QNaryGraph) -> tuple[int, ...]:

@@ -30,11 +30,10 @@ without loading it.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows, build_graph
-from .words import BudgetExceededError, _Frozen, _lyndon_tuples
+from .words import BudgetExceededError, _Frozen
 
 DEFAULT_MAX_CHARPOLY_DIM = 64
 
@@ -230,21 +229,22 @@ def _word_amplitude(word: tuple[int, ...], m: int, F: list[list[complex]]) -> co
 
 
 def _pseudo_orbit_terms(q: int, m: int, n: int):
-    """Yield (the member orbits' edge walks, signed amplitude) for each pseudo
-    orbit of length n on the order-m graph, in enumeration order.  The sign is
-    (-1)^(orbit count); each Lyndon word's walk and amplitude are computed once.
+    """(walks, terms) for the pseudo orbits of length n on the order-m graph:
+    walks[i] is the edge walk of the i-th Lyndon word of length <= n, and
+    terms yields (word indices, signed amplitude) for each pseudo orbit in
+    enumeration order.  The sign is (-1)^(orbit count); each word's walk and
+    amplitude are computed once.
     """
-    items = _pseudo_orbit_tuples(q, n)  # refuses over the budget
+    words, items = _pseudo_orbit_tuples(q, n)  # refuses over the budget
     F = dft_matrix(q).tolist()
-    orbits = {w: (_windows(w, q, m + 1), _word_amplitude(w, m, F)) for w in _lyndon_tuples(q, n)}
-    for words in items:
-        walks = []
-        amp = 1 + 0j
-        for word in words:
-            edges, orbit_amp = orbits[word]
-            walks.append(edges)
-            amp *= orbit_amp
-        yield walks, -amp if len(words) % 2 else amp
+    amps = [_word_amplitude(w, m, F) for w in words]
+
+    def terms():
+        for item in items:
+            amp = math.prod([amps[i] for i in item], start=1 + 0j)
+            yield item, -amp if len(item) % 2 else amp
+
+    return [_windows(w, q, m + 1) for w in words], terms()
 
 
 def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,13 +256,13 @@ def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndar
     """
     import numpy as np
 
-    ell = inst.lengths
-    orbit_length = functools.cache(lambda edges: float(sum(ell[e] for e in edges)))
+    walks, terms = _pseudo_orbit_terms(inst.graph.q, inst.graph.m, n)
+    orbit_lengths = [float(sum(inst.lengths[e] for e in edges)) for edges in walks]
     amps, lengths = [], []
-    for walks, amp in _pseudo_orbit_terms(inst.graph.q, inst.graph.m, n):
+    for item, amp in terms:
         length = 0.0
-        for edges in walks:
-            length += orbit_length(edges)
+        for i in item:
+            length += orbit_lengths[i]
         amps.append(amp)
         lengths.append(length)
     weights = np.array(amps, dtype=complex)

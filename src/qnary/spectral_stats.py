@@ -100,9 +100,10 @@ def _grouped_variance(q: int, m: int, n: int) -> float:
     """Pseudo orbits of length n on the order-m graph grouped by the multiset
     of edges they traverse (their edge-multiplicity vector); each group
     contributes |sum of signed amplitudes|^2."""
+    walks, terms = _pseudo_orbit_terms(q, m, n)
     groups: dict[tuple[int, ...], complex] = {}
-    for walks, weight in _pseudo_orbit_terms(q, m, n):
-        key = tuple(sorted(e for edges in walks for e in edges))
+    for item, weight in terms:
+        key = tuple(sorted(e for i in item for e in walks[i]))
         groups[key] = groups.get(key, 0j) + weight
     return float(sum(abs(v) ** 2 for v in groups.values()))
 
@@ -113,13 +114,14 @@ def _group_order(q: int, m: int) -> list[int]:
     Vertex a_1..a_m gets its in-edges from group a_1..a_(m-1) and its
     out-edges from group a_2..a_m; it is open while one of the two is done.
     Start at group 0, then repeatedly take the group that closes the most
-    open vertices, the lowest index on ties.
+    open vertices, the lowest index on ties: the top of a heap of (-closes,
+    group) once entries of done groups and outdated counts are popped.  The
+    groups are connected, so some group left always closes a vertex.
     """
-    import numpy as np
-
     G = q ** (m - 1)
-    closes = np.zeros(G, dtype=np.int64)
-    done = np.zeros(G, dtype=bool)
+    closes = [0] * G
+    done = [False] * G
+    heap: list[tuple[int, int]] = []
     order = [0]
     while True:
         g = order[-1]
@@ -128,8 +130,12 @@ def _group_order(q: int, m: int) -> list[int]:
             return order
         # each vertex b.g and g.c now waits for its other group
         for h in [(b * G + g) // q for b in range(q)] + [(g * q + c) % G for c in range(q)]:
-            closes[h] += h != g
-        order.append(int(np.argmax(np.where(done, -1, closes))))
+            if h != g:
+                closes[h] += 1
+                heapq.heappush(heap, (-closes[h], h))
+        while done[heap[0][1]] or -heap[0][0] != closes[heap[0][1]]:
+            heapq.heappop(heap)
+        order.append(heapq.heappop(heap)[1])
 
 
 def _edge_schedule(q: int, m: int) -> tuple[list, int]:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from qnary.cli import main
+from qnary.debruijn import primitive_pseudo_orbits
 from qnary.words import lyndon_words
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -131,6 +132,19 @@ def test_lyndon_list_streams_in_bounded_memory(tmp_path):
     assert path.read_text() == "".join(f"{w}\n" for w in lyndon_words(2, 22))
 
 
+def test_orbits_stream_in_bounded_memory(tmp_path):
+    # 131,072 pseudo orbits: held as objects, the JSON listing peaked at 121.7 MiB
+    path = tmp_path / "orbits.json"
+    argv = ["orbits", "--q", "2", "--m", "1", "--n", "18", "--format", "json"]
+    proc = run_fresh("-c", RSS_PROBE, str(path), *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 40 * 1024
+    record = json.loads(path.read_text())
+    assert record["count"] == len(record["pseudo_orbits"]) == 2**17
+
+
 # --- factorize ---------------------------------------------------------------------
 
 
@@ -216,7 +230,9 @@ def test_orbits_count_closed_form(capsys):
     for n in range(2, 9):
         code, out, _ = run(capsys, "orbits", "--q", "2", "--m", "3", "--n", str(n), "--format", "json")
         assert code == 0
-        assert json.loads(out)["count"] == 2 ** (n - 1)
+        record = json.loads(out)
+        assert record["count"] == 2 ** (n - 1)
+        assert len(record["pseudo_orbits"]) == record["count"]
 
 
 def test_orbits_budget(capsys):
@@ -228,6 +244,42 @@ def test_orbits_budget(capsys):
 def test_orbits_q1_rejected(capsys):
     code, _, err = run(capsys, "orbits", "--q", "1", "--m", "1", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_refused_orbits_write_no_stdout(capsys, fmt):
+    code, out, err = run(capsys, "orbits", "--q", "2", "--m", "1", "--n", "40",
+                         "--budget", "1000", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert "pseudo orbits of length 40 exceed budget 1000" in err
+
+
+def one_shot_orbits(q, m, n, fmt):
+    # the whole output built at once from PseudoOrbit objects
+    orbits = primitive_pseudo_orbits(q, n)
+    if fmt == "json":
+        listed = [[str(w) for w in po.words] for po in orbits]
+        record = {"q": q, "m": m, "n": n, "count": len(orbits), "pseudo_orbits": listed}
+        return json.dumps(record, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        rows = [[str(po), len(po.orbits), sum(map(len, po.words))] for po in orbits]
+        header = ["pseudo_orbit", "num_orbits", "total_length"]
+        csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+        return buf.getvalue()
+    return "".join(f"{po}\n" for po in orbits) + f"count={len(orbits)}\n"
+
+
+# the empty pseudo orbit at n = 0, and the ";" separator inside CSV quoting at q = 12
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("q,n_max,m", [(2, 8, 3), (3, 6, 1), (12, 3, 2)])
+def test_orbits_stream_the_one_shot_output(capsys, q, n_max, m, fmt):
+    for n in range(n_max + 1):
+        args = ["--q", str(q), "--m", str(m), "--n", str(n), "--format", fmt]
+        code, out, err = run(capsys, "orbits", *args)
+        assert code == 0 and err == ""
+        assert out == one_shot_orbits(q, m, n, fmt)
 
 
 # --- coeffs ------------------------------------------------------------------------------

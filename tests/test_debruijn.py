@@ -169,8 +169,8 @@ def test_pseudo_orbit_enumeration_length_4():
 def test_pseudo_orbit_empty_and_budget():
     empty = primitive_pseudo_orbits(2, 0)
     assert len(empty) == 1
-    assert empty[0].num_orbits == 0
-    assert empty[0].total_length == 0
+    assert len(empty[0].orbits) == 0
+    assert sum(map(len, empty[0].words)) == 0
     with pytest.raises(BudgetExceededError):
         primitive_pseudo_orbits(2, 40)
     with pytest.raises(BudgetExceededError):
@@ -187,8 +187,8 @@ def test_pseudo_orbit_count_matches_closed_form(q, max_n):
         if n >= 2:
             assert len(orbits) == (q - 1) * q ** (n - 1)
         for po in orbits:
-            assert po.total_length == n
-            assert po.num_orbits == len(set(po.words))
+            assert sum(map(len, po.words)) == n
+            assert len(po.orbits) == len(set(po.words))
 
 
 def test_pseudo_orbit_emission_order_is_concatenation_order():
@@ -204,7 +204,8 @@ def test_pseudo_orbit_emission_order_is_concatenation_order():
         for n in range(max_n + 1):
             words = itertools.product(range(q), repeat=n)
             expected = [tuple(_duval(x)) for x in words if _no_repeated_factor(x)]
-            assert list(_pseudo_orbit_tuples(q, n)) == expected
+            words, items = _pseudo_orbit_tuples(q, n)
+            assert [tuple(words[i] for i in item) for item in items] == expected
 
 
 def test_pseudo_orbit_bijection_roundtrip():
@@ -354,4 +355,4 @@ def test_edge_multiplicity_totals_equal_topological_length():
     g = build_graph(3, 2)
     for n in range(0, 6):
         for po in primitive_pseudo_orbits(3, n):
-            assert sum(edge_multiplicities(po, g)) == po.total_length
+            assert sum(edge_multiplicities(po, g)) == sum(map(len, po.words))

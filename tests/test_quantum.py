@@ -290,7 +290,7 @@ def test_orbit_amplitude_modulus(q, m):
             for orbit in po.orbits:
                 amp = orbit_amplitude(orbit, inst)
                 assert abs(amp) ** 2 == pytest.approx(
-                    q ** (-orbit.topological_length), abs=1e-12
+                    q ** (-len(orbit.word)), abs=1e-12
                 )
 
 
@@ -355,7 +355,7 @@ def test_expansion_terms_match_orbit_objects(q, m, n_max):
             for orbit in po.orbits:
                 amp *= orbit_amplitude(orbit, inst)
                 total += float(sum(ell[e] for e in orbit.edge_sequence(m)))
-            assert weight == (-amp if po.num_orbits % 2 else amp)
+            assert weight == (-amp if len(po.orbits) % 2 else amp)
             assert length == total
 
 

@@ -10,6 +10,7 @@ from qnary.debruijn import PeriodicOrbit, edge_multiplicities, primitive_pseudo_
 from qnary.quantum import build_instance, dft_matrix, expansion_terms
 from qnary.spectral_stats import (
     _balanced_subset_variances,
+    _group_order,
     _grouped_variance,
     _sampled_coefficients,
     _sampled_variances,
@@ -284,6 +285,33 @@ def test_balanced_subset_dp_with_codes_wider_than_64_bits():
     dp = _balanced_subset_variances(2, 7, 8, **FULL_DP)
     for n in range(9):
         assert dp[n] == pytest.approx(_grouped_variance(2, 7, n), abs=1e-12)
+
+
+def greedy_group_order(q, m):
+    # the reference: every pick scans all G groups for the most closed vertices
+    G = q ** (m - 1)
+    closes = np.zeros(G, dtype=np.int64)
+    done = np.zeros(G, dtype=bool)
+    order = [0]
+    while True:
+        g = order[-1]
+        done[g] = True
+        if len(order) == G:
+            return order
+        for h in [(b * G + g) // q for b in range(q)] + [(g * q + c) % G for c in range(q)]:
+            closes[h] += h != g
+        order.append(int(np.argmax(np.where(done, -1, closes))))
+
+
+@pytest.mark.parametrize(
+    "q,m",
+    [(2, m) for m in range(1, 13)] + [(3, m) for m in range(1, 8)] + [(4, m) for m in range(1, 6)]
+    + [(5, m) for m in range(1, 4)] + [(7, 2)] + [(10, m) for m in range(1, 4)],
+)
+def test_group_order_equals_the_full_scan_greedy(q, m):
+    order = _group_order(q, m)
+    assert order == greedy_group_order(q, m)
+    assert sorted(order) == list(range(q ** (m - 1)))
 
 
 @pytest.mark.parametrize("q,m,n_max", [(2, 2, 8), (2, 3, 10), (3, 1, 6), (4, 1, 4)])
