@@ -88,7 +88,7 @@ def _emit_json_list(value) -> None:
     if isinstance(value, dict):
         *_, (key, items) = value.items()
         shell, pad = {**value, key: []}, "\n    "
-    quoted = (json.dumps(x, indent=2).replace("\n", pad) for x in items)
+    quoted = (_json_item(x, pad) for x in items)
     first = next(quoted, None)
     if first is None:
         _emit_json(shell)
@@ -97,6 +97,18 @@ def _emit_json_list(value) -> None:
         head, _, tail = json.dumps(shell, indent=2).rpartition("[]")
         rest = (f",{pad}{x}" for x in quoted)
         _emit(itertools.chain([f"{head}[{pad}{first}"], rest, [f"{pad[:-2]}]{tail}\n"]))
+
+
+def _json_item(item, pad: str) -> str:
+    # json.dumps(item, indent=2) with its lines joined by pad, for a string or
+    # a list of strings: the strings go through json's C encoder, where the
+    # indented encoder is pure Python
+    if isinstance(item, str):
+        return json.dumps(item)
+    if not item:
+        return "[]"
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(map(json.dumps, item))}{pad}]"
 
 
 def _emit_csv(header, rows) -> None:

@@ -25,12 +25,14 @@ route enumerates the pseudo orbits it needs afresh on every call; nothing
 is cached on the instance, so a caller that evaluates many k takes
 `expansion_terms` once.  numpy is imported inside the functions that
 compute, so the combinatorial commands, which never call them, start
-without loading it.
+without loading it.  Seeded draws come from `_PCG64`, numpy's default
+generator computed here bit for bit, so no path loads `numpy.random`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows, build_graph
 from .words import BudgetExceededError, _Frozen
@@ -70,18 +72,107 @@ def assemble_sigma(graph: QNaryGraph) -> np.ndarray:
     return entries
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_BLOCK = 1024  # draws per array step of `_PCG64.random`
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's `SeedSequence(seed).generate_state(4, np.uint64)`: the seed's
+    32-bit words hashed into a pool of four, then drawn out as 64-bit words."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer, got {seed}")
+    entropy = [seed & _M32]
+    while seed := seed >> 32:
+        entropy.append(seed & _M32)
+    h = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * 0x931E8875 & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    words, g = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ g
+        g = g * 0x58F38DED & _M32
+        value = value * g & _M32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _PCG64:
+    """numpy's default generator without `numpy.random`: PCG64 (O'Neill
+    2014), a 128-bit LCG with XSL-RR output, seeded through SeedSequence.
+    `random` and `uniform` return, bit for bit, what the same calls on
+    `numpy.random.default_rng(seed)` return, however the draws are split
+    into calls."""
+
+    def __init__(self, seed: int):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+        self.inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        # one step from 0, add the seed, one more step
+        self.state = ((self.inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self.inc) & _M128
+
+    def random(self, size: int) -> np.ndarray:
+        """`size` doubles on [0, 1): each output's top 53 bits over 2^53."""
+        import numpy as np
+
+        # j steps on, the state is a_j s + c_j mod 2^128; the table holds the
+        # (a_j, c_j) words, and each block maps the block's first state to all of it
+        a, c, table = 1, 0, []
+        for _ in range(min(size, _PCG_BLOCK)):
+            a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + self.inc) & _M128
+            table.append((a >> 64, a & _M64, c >> 64, c & _M64))
+        a_hi, a_lo, c_hi, c_lo = np.array(table, dtype=np.uint64).reshape(-1, 4).T
+        a0, a1 = a_lo & _M32, a_lo >> 32
+        out = np.empty(size, dtype=np.uint64)
+        for lo in range(0, size, _PCG_BLOCK):
+            n = min(_PCG_BLOCK, size - lo)
+            s = self.state
+            s0, s1 = np.uint64(s & _M32), np.uint64(s >> 32 & _M32)
+            s_lo, s_hi = np.uint64(s & _M64), np.uint64(s >> 64)
+            # the high word of a_lo s_lo from 32-bit halves; the rest wraps mod 2^64
+            cross0, cross1 = a0[:n] * s1, a1[:n] * s0
+            mid = (a0[:n] * s0 >> 32) + (cross0 & _M32) + (cross1 & _M32)
+            high = a1[:n] * s1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+            high += a_hi[:n] * s_lo + a_lo[:n] * s_hi + c_hi[:n]
+            low = a_lo[:n] * s_lo + c_lo[:n]
+            high += low < c_lo[:n]
+            self.state = int(high[-1]) << 64 | int(low[-1])
+            x, rot = high ^ low, high >> 58
+            out[lo : lo + n] = x >> rot | x << (64 - rot & 63)
+        return (out >> 11) * (1.0 / 2**53)
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        return low + (high - low) * self.random(size)
+
+
 def sample_edge_lengths(graph: QNaryGraph, seed: int) -> np.ndarray:
-    """Draw E i.i.d. lengths uniform on [1, 2) from numpy's PCG64 generator,
-    as a read-only array.
+    """Draw E i.i.d. lengths uniform on [1, 2) from the seeded PCG64 stream
+    (`_PCG64`, the values of `numpy.random.default_rng(seed)`), as a
+    read-only array.
 
     The same seed reproduces the same vector bit for bit.  Random draws are
     rationally independent with probability 1, which is the premise of the
     degeneracy-grouped wavenumber average.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    lengths = 1.0 + rng.random(graph.num_edges)
+    lengths = 1.0 + _PCG64(seed).random(graph.num_edges)
     lengths.setflags(write=False)
     return lengths
 
@@ -154,19 +245,20 @@ def char_poly_direct(U: np.ndarray) -> CharPolyCoefficients:
     if N < 1:
         raise ValueError("matrix must be at least 1 x 1")
     _check_dimension(N)
-    a = _char_polys(U[:, :, None])[0]
+    work, p = np.empty(N * N, dtype=complex), np.empty((N + 1, N + 1, 1), dtype=complex)
+    a = _char_polys(U[:, :, None].copy(), work, p)[0]
     a[0] = 1.0
     a.setflags(write=False)
     return CharPolyCoefficients(a)
 
 
-def _char_polys(A: np.ndarray) -> np.ndarray:
+def _char_polys(H: np.ndarray, work: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a stack of N x N matrices, the sample
-    axis last: A has shape (N, N, c), and row s of the (c, N+1) result holds
-    the coefficients of det(xi I - A[:, :, s]), a[n] multiplying xi^(N-n).
+    axis last: H has shape (N, N, c), and row s of the (c, N+1) result holds
+    the coefficients of det(xi I - H[:, :, s]), a[n] multiplying xi^(N-n).
 
-    Householder reflections P = I - v v^H, |v|^2 = 2, reduce each matrix to
-    upper Hessenberg form H = P...A...P by unitary similarity.  La Budde's
+    Householder reflections P = I - v v^H, |v|^2 = 2, reduce each matrix A
+    to upper Hessenberg form P...A...P by unitary similarity.  La Budde's
     recurrence then gives the polynomial p_i of H's leading i x i block,
 
         p_i = (xi - H[i-1,i-1]) p_(i-1)
@@ -175,11 +267,20 @@ def _char_polys(A: np.ndarray) -> np.ndarray:
     O(N^3) in all (Rehman & Ipsen, "La Budde's method for computing
     characteristic polynomials", 2011).  Every step is one broadcast over
     the sample axis; the leading coefficient comes out exactly 1.
+
+    The caller owns the memory: H is reduced in place, every large product
+    goes to the flat buffer `work` (at least N*N*c entries), and p, of shape
+    (N+1, N+1, c), takes the polynomials.  So a caller that reuses them
+    allocates nothing of size N*N*c per stack.
     """
     import numpy as np
 
-    H = np.array(A, dtype=complex)
     N, c = H.shape[0], H.shape[2]
+
+    def product(*shape):
+        # a C-contiguous view at the front of work: a fresh temporary's layout
+        return work[: math.prod(shape)].reshape(shape)
+
     for j in range(N - 2):
         # v = x + e^(i arg x_0) |x| e_1 maps column j below the diagonal onto e_1
         x = H[j + 1 :, j]
@@ -191,10 +292,15 @@ def _char_polys(A: np.ndarray) -> np.ndarray:
         # a zero column needs no reflection: v = 0 is P = I
         v *= np.sqrt(np.divide(2.0, norm2, out=np.zeros(c), where=norm2 > 0))
         vc = v.conj()
-        H[j + 1 :, j:] -= v[:, None] * (vc[:, None] * H[j + 1 :, j:]).sum(axis=0)
-        H[:, j + 1 :] -= (H[:, j + 1 :] * v).sum(axis=1)[:, None] * vc
+        # H[j+1:, j:] -= v (v^H H[j+1:, j:]), then H[:, j+1:] -= (H[:, j+1:] v) v^H
+        rows = H[j + 1 :, j:]
+        t = np.multiply(vc[:, None], rows, out=product(*rows.shape))
+        rows -= np.multiply(v[:, None], t.sum(axis=0), out=t)
+        cols = H[:, j + 1 :]
+        t = np.multiply(cols, v, out=product(*cols.shape))
+        cols -= np.multiply(t.sum(axis=1)[:, None], vc, out=t)
     # p[i, t] is the xi^t coefficient of p_i
-    p = np.zeros((N + 1, N + 1, c), dtype=complex)
+    p.fill(0)
     p[0, 0] = 1.0
     chain = np.zeros((0, c), dtype=complex)  # chain[r] = H[r+1,r] ... H[i-1,i-2]
     for i in range(1, N + 1):
@@ -203,7 +309,8 @@ def _char_polys(A: np.ndarray) -> np.ndarray:
         if i >= 2:
             chain = np.concatenate([chain, np.ones((1, c))]) * H[i - 1, i - 2]
             weights = H[: i - 1, i - 1] * chain
-            p[i, : i - 1] -= (weights[:, None] * p[: i - 1, : i - 1]).sum(axis=0)
+            t = np.multiply(weights[:, None], p[: i - 1, : i - 1], out=product(i - 1, i - 1, c))
+            p[i, : i - 1] -= t.sum(axis=0)
     return np.ascontiguousarray(p[N, ::-1].T)
 
 

@@ -45,6 +45,7 @@ import heapq
 from .debruijn import build_graph
 from .quantum import (
     SpectralInstance,
+    _PCG64,
     _char_polys,
     _check_dimension,
     _check_index,
@@ -296,24 +297,30 @@ def _sampled_coefficients(
     [0, k_max]: row i holds a_(ns[i]) at every draw.  Deterministic for a
     given seed.
 
-    The draws come a chunk at a time from one generator, so they equal one
-    draw of `samples`.  Each chunk's U(k) is one broadcast and its
-    polynomials one `_char_polys` call; rows are reproducible for this chunk
-    rule, not bit-identical across chunk sizes.
+    The draws are the seed's PCG64 stream (`_PCG64`), the values of
+    `numpy.random.default_rng(seed).uniform(0, k_max, samples)`.  Each
+    chunk's U(k) is one broadcast and its polynomials one `_char_polys`
+    call; rows are reproducible for this chunk rule, not bit-identical
+    across chunk sizes.  U(k), the products and the polynomials live in
+    three buffers allocated once per call, not once per chunk.
     """
     import numpy as np
 
     E = inst.graph.num_edges
     _check_sampling(samples, k_max)
     _check_sample_size(samples, E)
-    rng = np.random.default_rng(seed)
-    chunk = max(1, _SAMPLE_CHUNK_BYTES // (16 * E * E))
+    ks = _PCG64(seed).uniform(0.0, k_max, samples)
+    chunk = min(samples, max(1, _SAMPLE_CHUNK_BYTES // (16 * E * E)))
     sigma = inst.sigma[:, :, None]
+    U, work = np.empty(E * E * chunk, dtype=complex), np.empty(E * E * chunk, dtype=complex)
+    p = np.empty((E + 1) ** 2 * chunk, dtype=complex)
     out = np.empty((len(ns), samples), dtype=complex)
     for lo in range(0, samples, chunk):
-        ks = rng.uniform(0.0, k_max, size=min(chunk, samples - lo))
-        phases = np.exp(1j * np.multiply.outer(inst.lengths, ks))
-        out[:, lo : lo + len(ks)] = _char_polys(phases[:, None, :] * sigma)[:, ns].T
+        c = min(chunk, samples - lo)
+        phases = np.exp(1j * np.multiply.outer(inst.lengths, ks[lo : lo + c]))
+        H = np.multiply(phases[:, None, :], sigma, out=U[: E * E * c].reshape(E, E, c))
+        polys = _char_polys(H, work, p[: (E + 1) ** 2 * c].reshape(E + 1, E + 1, c))
+        out[:, lo : lo + c] = polys[:, ns].T
     return out
 
 

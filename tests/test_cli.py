@@ -680,3 +680,24 @@ def test_combinatorial_commands_run_without_numpy():
     assert probe["results"][:-1] == expected
     code, loaded = probe["results"][-1]
     assert code == 0 and "numpy" in loaded
+
+
+NUMPY_RANDOM_PROBE = """
+import contextlib, io, sys
+from qnary import cli
+from qnary.quantum import build_instance
+from qnary.spectral_stats import variance_report
+build_instance(2, 3, seed=1)
+variance_report(2, 3, 8, seed=1, samples=200)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["coeffs", "--q", "2", "--m", "5", "--k", "3.5", "--method", "det"])
+print(code, "numpy" in sys.modules, "numpy.random" in sys.modules)
+"""
+
+
+def test_seeded_draws_never_import_numpy_random():
+    # the edge lengths and the Monte-Carlo wavenumbers come from the package's
+    # own PCG64 stream; numpy.random alone adds ~6 MB to a process's peak
+    proc = run_fresh("-c", NUMPY_RANDOM_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "False"]

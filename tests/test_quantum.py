@@ -20,6 +20,7 @@ from qnary.debruijn import (
 from qnary.quantum import (
     CharPolyCoefficients,
     _char_polys,
+    _PCG64,
     assemble_sigma,
     build_instance,
     char_poly_direct,
@@ -156,6 +157,38 @@ def test_edge_lengths_range_and_determinism():
     assert np.any(a != c)
 
 
+STREAM_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 17]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_is_numpys_default_generator_bit_for_bit(seed):
+    # numpy.random is the oracle here; the package itself never imports it.
+    # 2,500 draws cross two of the stream's 1,024-draw blocks
+    oracle = np.random.default_rng(seed)
+    assert np.array_equal(_PCG64(seed).random(2500), oracle.random(2500))
+    for k_max in (1e4, 37.5, 1.0):
+        draws = _PCG64(seed).uniform(0.0, k_max, 300)
+        assert np.array_equal(draws, np.random.default_rng(seed).uniform(0.0, k_max, size=300))
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7, 64, 1024])
+def test_stream_drawn_in_chunks_equals_one_draw(chunk):
+    total = 2100
+    for seed in STREAM_SEEDS:
+        whole = _PCG64(seed).uniform(0.0, 1e4, total)
+        stream = _PCG64(seed)
+        parts = [stream.uniform(0.0, 1e4, min(chunk, total - lo)) for lo in range(0, total, chunk)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_stream_refuses_what_seed_sequence_refuses():
+    with pytest.raises(ValueError):
+        _PCG64(-1)
+    with pytest.raises(TypeError):
+        _PCG64(1.5)
+    assert _PCG64(0).random(0).shape == (0,)
+
+
 # --- evolution operator -----------------------------------------------------------
 
 
@@ -219,12 +252,19 @@ def test_char_poly_matches_eigenvalue_oracle(dim):
         assert np.max(np.abs(direct - oracle)) < 1e-10
 
 
+def char_polys(stack):
+    """`_char_polys` on a copy of the stack, with buffers of its own."""
+    N, _, c = stack.shape
+    work, p = np.empty(N * N * c, dtype=complex), np.empty((N + 1, N + 1, c), dtype=complex)
+    return _char_polys(np.array(stack, dtype=complex), work, p)
+
+
 def test_char_poly_dimension_cap():
     assert isinstance(char_poly_direct(np.eye(64)), CharPolyCoefficients)
     with pytest.raises(BudgetExceededError):
         char_poly_direct(np.eye(65))
     # the cap refuses, not the stacked routine behind it
-    assert _char_polys(np.eye(65)[:, :, None]).shape == (1, 66)
+    assert char_polys(np.eye(65)[:, :, None]).shape == (1, 66)
 
 
 def determinant_poly_oracle(U):
@@ -240,14 +280,14 @@ def determinant_poly_oracle(U):
 def test_char_poly_matches_the_determinant_oracle(dim):
     U = random_unitary(dim, seed=dim)
     # past the dimension cap, the stacked routine behind char_poly_direct
-    direct = char_poly_direct(U).a if dim <= 64 else _char_polys(U[:, :, None])[0]
+    direct = char_poly_direct(U).a if dim <= 64 else char_polys(U[:, :, None])[0]
     assert np.max(np.abs(direct - determinant_poly_oracle(U))) < 1e-12
 
 
 def test_char_poly_of_a_stack_matches_one_matrix_at_a_time():
     # the sample axis is last; a zero column below the diagonal needs no reflection
     stack = np.stack([random_unitary(16, seed=s) for s in range(5)] + [np.eye(16)], axis=-1)
-    rows = _char_polys(stack)
+    rows = char_polys(stack)
     assert rows.shape == (6, 17)
     for s in range(6):
         assert np.max(np.abs(rows[s] - char_poly_direct(stack[:, :, s]).a)) < 1e-13
@@ -259,11 +299,28 @@ def test_char_poly_transient_memory_is_bounded():
     U = random_unitary(128, seed=5)
     tracemalloc.start()
     try:
-        _char_polys(U[:, :, None])
+        char_polys(U[:, :, None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_char_polys_allocate_nothing_the_size_of_the_stack():
+    # the sampler passes the same buffers for every chunk, so a chunk's large
+    # products must land in them; what remains is per-column vectors and
+    # numpy's fixed 128 KiB ufunc buffer
+    N, c = 64, 16
+    stack = np.stack([random_unitary(N, seed=s) for s in range(c)], axis=-1)
+    work, p = np.empty(N * N * c, dtype=complex), np.empty((N + 1, N + 1, c), dtype=complex)
+    tracemalloc.start()
+    try:
+        rows = _char_polys(stack, work, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.nbytes / 2
+    assert rows.shape == (c, N + 1)
 
 
 def test_char_poly_rejects_non_square():
