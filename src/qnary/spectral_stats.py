@@ -27,6 +27,10 @@ transfer DP over the balanced edge sets runs while its work stays within the
 number of pseudo orbits of length d and its live states within the default
 enumeration budget over E(d+1).  Past either cap the pseudo orbits of length
 d are grouped, unless they exceed the budget too: then BudgetExceededError.
+Each DP state carries a degree floor, `need`, that prunes the sets which can
+no longer balance within d edges, and each vertex weight comes from a
+pure-Python elimination on its <= q x q DFT minor, so no exact value depends
+on LAPACK.  At a state cap of 0 the DP gives up before numpy is imported.
 The value, its route and the refusal depend on (q, m, n) alone, so
 `variance_report` builds the instance only to sample.
 
@@ -145,10 +149,11 @@ def _edge_schedule(q: int, m: int) -> tuple[list, int]:
 
     A vertex holds a slot from its first edge to its last.  Each step is
     (origin slot, c, terminus slot, b, bounds, completed, closed): bounds
-    gives, for both end vertices, the range of |B| - |C| that their
-    unprocessed edges can still balance; completed lists (slot, offset) for
-    an open vertex whose in-edges (offset 0) or out-edges (offset q) are now
-    all processed; closed lists the slots of vertices with no edge left.
+    gives, for the origin and then the terminus, the range (low, high) of
+    |B| - |C| that its unprocessed edges can still balance; completed lists
+    (slot, offset) for an open vertex whose in-edges (offset 0) or out-edges
+    (offset q) are now all processed; closed lists the slots of vertices
+    with no edge left.
     """
     G, V = q ** (m - 1), q**m
     left_in, left_out = [q] * V, [q] * V
@@ -167,7 +172,7 @@ def _edge_schedule(q: int, m: int) -> tuple[list, int]:
                 so, st = slot[o], slot[t]
                 left_out[o] -= 1
                 left_in[t] -= 1
-                bounds = [(so, -left_in[o], left_out[o]), (st, -left_in[t], left_out[t])]
+                bounds = ((-left_in[o], left_out[o]), (-left_in[t], left_out[t]))
                 completed = []
                 if left_out[o] == 0 < left_in[o]:
                     completed.append((so, q))
@@ -179,6 +184,25 @@ def _edge_schedule(q: int, m: int) -> tuple[list, int]:
                     heapq.heappush(free, s)
                 steps.append((so, c, st, b, bounds, completed, closed))
     return steps, width
+
+
+def _minor_weight(dft: list, rows: list[int], cols: list[int]) -> float:
+    """|det F[rows, cols]|^2 of the DFT rows `dft`, by elimination with
+    partial pivoting on |re| + |im| (LAPACK's choice) in Python complex."""
+    a = [[dft[r][c] for c in cols] for r in rows]
+    det = 1.0
+    for k in range(len(a)):
+        p = max(range(k, len(a)), key=lambda i: abs(a[i][k].real) + abs(a[i][k].imag))
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k][k]
+        if pivot == 0:
+            return 0.0
+        det *= pivot
+        for row in a[k + 1 :]:
+            f = row[k] / pivot
+            for j in range(k + 1, len(a)):
+                row[j] -= f * a[k][j]
+    return abs(det) ** 2
 
 
 def _balanced_subset_variances(
@@ -194,35 +218,54 @@ def _balanced_subset_variances(
     (`_edge_schedule`).  A state packs the open vertices' (B, C) masks into
     one integer code and carries a polynomial in |S| truncated at degree d.
     A vertex's weight is applied when it closes, after which states that
-    differ only in its slot merge.  A state is dropped when a vertex can no
-    longer balance, or when its lowest degree plus ceil(sum_v ||B_v|-|C_v||/2),
-    the fewest edges that could balance every vertex, exceeds d.
+    differ only in its slot merge.  Each weight comes from `_minor_weight`
+    on the <= q x q minor, once per mask and call, so no value depends on
+    LAPACK.
+
+    Each state also carries `need`: its lowest non-zero degree plus
+    sum_v |B_v - C_v| / 2 over the open vertices, the fewest edges that
+    could balance every vertex (the sum is even: every edge adds to one B
+    and one C, and closed vertices are balanced).  Taking edge o -> t adds
+    (|B_o| <= |C_o|) + (|B_t| >= |C_t|) to it, a loop 1, and a merge keeps
+    the minimum.  A state is dropped when a vertex can no longer balance,
+    tested on the edge's two end columns, or when its need exceeds d.
 
     Returns None once the live states exceed max_states or their running
     sum over the steps exceeds max_work.
     """
-    import numpy as np
-
     if max_states < 1:
         return None  # the empty set alone is one live state
+    import numpy as np
+
     steps, width = _edge_schedule(q, m)
     bits, letters = 2 * q, (1 << q) - 1
     vertex = (1 << bits) - 1
-    dft = dft_matrix(q)
+    dft = dft_matrix(q).tolist()
     weight: dict[int, float] = {}
 
+    def starts(ordered: np.ndarray) -> np.ndarray:
+        # where each run of equal values begins in a sorted array
+        return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+
     def weights(masks: np.ndarray) -> np.ndarray:
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        for x in uniq.tolist():
+        order = np.argsort(masks, kind="stable")
+        ordered = masks[order]
+        first = starts(ordered)
+        values = []
+        for x in ordered[first].tolist():
             if x not in weight:
                 B = [j for j in range(q) if x >> j & 1]
                 C = [j for j in range(q) if x >> (q + j) & 1]
-                weight[x] = abs(np.linalg.det(dft[np.ix_(C, B)])) ** 2 if C else 1.0
-        return np.array([weight[x] for x in uniq.tolist()])[inverse]
+                weight[x] = _minor_weight(dft, C, B)
+            values.append(weight[x])
+        w = np.empty(len(masks))
+        w[order] = np.repeat(values, np.diff(first, append=len(masks)))
+        return w
 
     # object codes hold Python ints when the slots outgrow 63 bits
     codes = np.zeros(1, dtype=np.int64 if width * bits < 63 else object)
     imbalance = np.zeros((1, width), dtype=np.int64)  # |B_v| - |C_v| per slot
+    need = np.zeros(1, dtype=np.int64)  # lowest degree + sum_v |B_v - C_v| / 2
     polys = np.zeros((1, d + 1))
     polys[0, 0] = 1.0
     work = 0
@@ -231,22 +274,29 @@ def _balanced_subset_variances(
         if len(codes) > max_states or work > max_work:
             return None
         # taking the edge adds c to its origin's C and b to its terminus's B
-        grown = np.zeros_like(polys)
-        grown[:, 1:] = polys[:, :-1]
-        more = imbalance.copy()
-        more[:, so] -= 1
-        more[:, st] += 1
-        nonzero = grown > 0
-        lowest = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), d + 1)
-        keep = lowest + (np.abs(more).sum(axis=1) + 1) // 2 <= d
-        stay = np.ones(len(codes), dtype=bool)
-        for s, low, high in bounds:
-            keep &= (low <= more[:, s]) & (more[:, s] <= high)
-            stay &= (low <= imbalance[:, s]) & (imbalance[:, s] <= high)
+        (o_low, o_high), (t_low, t_high) = bounds
+        io, it = imbalance[:, so], imbalance[:, st]
+        stay = (o_low <= io) & (io <= o_high) & (t_low <= it) & (it <= t_high)
+        if so == st:
+            grow = need + 1
+            take = stay & (grow <= d)
+        else:
+            grow = need + (io <= 0) + (it >= 0)
+            take = (o_low < io) & (io <= o_high + 1) & (t_low <= it + 1) & (it < t_high)
+            take &= grow <= d
+        kept, taken = np.flatnonzero(stay), np.flatnonzero(take)
+        split = len(kept)
         add = (1 << (so * bits + q + c)) | (1 << (st * bits + b))
-        codes = np.concatenate([codes[stay], codes[keep] | add])
-        imbalance = np.concatenate([imbalance[stay], more[keep]])
-        polys = np.concatenate([polys[stay], grown[keep]])
+        codes = np.concatenate([codes[kept], codes[taken] | add])
+        need = np.concatenate([need[kept], grow[taken]])
+        imbalance = imbalance[np.concatenate([kept, taken])]
+        imbalance[split:, so] -= 1
+        imbalance[split:, st] += 1
+        grown = np.empty((len(codes), d + 1))
+        grown[:split] = polys[kept]
+        grown[split:, 0] = 0.0
+        grown[split:, 1:] = polys[taken, :-1]
+        polys = grown
         if not completed and not closed:
             continue
         for s, offset in completed:
@@ -259,13 +309,14 @@ def _balanced_subset_variances(
             codes = codes ^ ((mask ^ least) << shift)
         for s in closed:
             w = weights((codes >> (s * bits)) & vertex)
-            live = w > 0
+            live = np.flatnonzero(w > 0)
             codes = codes[live] & ~(vertex << (s * bits))
-            imbalance, polys = imbalance[live], polys[live] * w[live, None]
+            imbalance, need, polys = imbalance[live], need[live], polys[live] * w[live, None]
         order = np.argsort(codes, kind="stable")
-        codes, imbalance, polys = codes[order], imbalance[order], polys[order]
-        first = np.flatnonzero(np.concatenate([[True], codes[1:] != codes[:-1]]))
+        codes, imbalance, need, polys = codes[order], imbalance[order], need[order], polys[order]
+        first = starts(codes)
         codes, imbalance = codes[first], imbalance[first]
+        need = np.minimum.reduceat(need, first)
         polys = np.add.reduceat(polys, first, axis=0)
     return polys[0]
 

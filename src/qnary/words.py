@@ -73,9 +73,14 @@ class _Frozen:
         return type(self), self._values()
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _display(letters: tuple[int, ...], q: int) -> str:
-    # digits for q <= 10, comma-separated letter indices above
-    return ("" if q <= 10 else ",").join(map(str, letters))
+    # digits for q <= 10, one byte per letter; comma-separated letter indices above
+    if q <= 10:
+        return bytes(letters).translate(_DIGITS).decode()
+    return ",".join(map(str, letters))
 
 
 @functools.total_ordering

@@ -682,6 +682,15 @@ def test_combinatorial_commands_run_without_numpy():
     assert code == 0 and "numpy" in loaded
 
 
+def test_variance_refused_at_a_zero_state_cap_never_loads_numpy():
+    # E = 2^21, d = 60: the DP's state cap 10^8 // (E(d+1)) is 0 and the 2^59
+    # pseudo orbits are over budget, so the refusal needs no array
+    argv = ["variance", "--q", "2", "--m", "20", "--n", "60", "--samples", "0"]
+    proc = run_fresh("-c", NUMPY_PROBE, json.dumps([argv]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"] == [[3, []]]
+
+
 NUMPY_RANDOM_PROBE = """
 import contextlib, io, sys
 from qnary import cli

@@ -1,5 +1,6 @@
 """Diagonal approximation, exact grouped variance, MC estimates, RMT refs."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,8 +11,10 @@ from qnary.debruijn import PeriodicOrbit, edge_multiplicities, primitive_pseudo_
 from qnary.quantum import build_instance, dft_matrix, expansion_terms
 from qnary.spectral_stats import (
     _balanced_subset_variances,
+    _exact_variance,
     _group_order,
     _grouped_variance,
+    _minor_weight,
     _sampled_coefficients,
     _sampled_variances,
     diagonal_variance,
@@ -272,12 +275,49 @@ FULL_DP = {"max_work": 10**12, "max_states": 10**9}
 
 @pytest.mark.parametrize(
     "q,m,n_max",
-    [(2, 1, 4), (2, 2, 8), (2, 3, 16), (2, 4, 16), (3, 1, 9), (3, 2, 9), (4, 1, 8)],
+    [(2, 1, 4), (2, 2, 8), (2, 3, 16), (2, 4, 16), (3, 1, 9), (3, 2, 9), (4, 1, 8),
+     (5, 1, 6), (6, 1, 6)],
 )
 def test_balanced_subset_dp_equals_pseudo_orbit_grouping(q, m, n_max):
+    # q = 5 and 6 reach 5 x 5 and 6 x 6 minors, and q = 6 minors that vanish exactly
     dp = _balanced_subset_variances(q, m, n_max, **FULL_DP)
     for n in range(n_max + 1):
         assert dp[n] == pytest.approx(_grouped_variance(q, m, n), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
+def test_minor_weights_equal_lapack_determinants(q, monkeypatch):
+    F = dft_matrix(q)
+
+    def lapack(rows, cols):
+        return abs(np.linalg.det(F[np.ix_(rows, cols)])) ** 2 if rows else 1.0
+
+    # every minor the DP can meet: row and column sets of one size
+    for k in range(q + 1):
+        for rows, cols in itertools.product(itertools.combinations(range(q), k), repeat=2):
+            weight = _minor_weight(F.tolist(), list(rows), list(cols))
+            assert weight == pytest.approx(lapack(rows, cols), abs=1e-12)
+    # the DP takes its weights from there, each minor once per call
+    memoized = []
+
+    def spy(dft, rows, cols):
+        memoized.append((tuple(rows), tuple(cols)))
+        return _minor_weight(dft, rows, cols)
+
+    monkeypatch.setattr(spectral_stats, "_minor_weight", spy)
+    _balanced_subset_variances(q, 1, min(q, 6), **FULL_DP)
+    assert memoized and len(set(memoized)) == len(memoized)
+
+
+def test_exact_variance_never_calls_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.det called on the exact route")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    for q, m in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1)]:
+        E = q ** (m + 1)
+        values = [_exact_variance(q, m, n) for n in range(E + 1)]
+        assert values[0] == values[E] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_balanced_subset_dp_with_codes_wider_than_64_bits():

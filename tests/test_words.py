@@ -15,6 +15,7 @@ import hypothesis.strategies as st
 
 from qnary.words import (
     BudgetExceededError,
+    _display,
     _duval,
     _lyndon_count_exceeds,
     _lyndon_tuples,
@@ -390,6 +391,19 @@ def test_word_validation():
         Word((2,), 2)
     with pytest.raises(ValueError):
         Word((0,), 0)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_display_is_the_digit_string(q):
+    # every word of each length <= 8 that has at most 20,000 words, else 2,000 drawn ones
+    rng = random.Random(q)
+    for length in range(9):
+        if q**length <= 20_000:
+            words = itertools.product(range(q), repeat=length)
+        else:
+            words = (tuple(rng.randrange(q) for _ in range(length)) for _ in range(2_000))
+        for letters in words:
+            assert _display(letters, q) == "".join(map(str, letters))
 
 
 def test_word_string_roundtrip_large_alphabet():
