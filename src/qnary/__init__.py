@@ -17,8 +17,6 @@ from .words import (
     verify_lyndon_count_identity,
 )
 from .debruijn import (
-    PeriodicOrbit,
-    PseudoOrbit,
     QNaryGraph,
     build_graph,
     edge_multiplicities,
@@ -53,8 +51,6 @@ __all__ = [
     "CharPolyCoefficients",
     "DEFAULT_ENUMERATION_BUDGET",
     "LyndonFactorization",
-    "PeriodicOrbit",
-    "PseudoOrbit",
     "QNaryGraph",
     "SpectralInstance",
     "Word",

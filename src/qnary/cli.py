@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 from .debruijn import _braced, _pseudo_orbit_tuples, build_graph
@@ -219,10 +220,12 @@ def _cmd_coeffs(args) -> int:
     # refuse from q and m alone, before Sigma is assembled
     E = build_graph(args.q, args.m, budget=args.budget).num_edges
     # the pseudo orbits of lengths 0..E number q^E + 1, refused without
-    # building q^E once bit lengths decide
-    if args.method in ("orbits", "both") and _power_exceeds(args.q, E, args.budget - 1):
+    # building q^E once bit lengths decide; the expansion enumerates each
+    # length under the default budget, so --budget can lower it, not raise it
+    limit = min(args.budget, DEFAULT_ENUMERATION_BUDGET)
+    if args.method in ("orbits", "both") and _power_exceeds(args.q, E, limit - 1):
         raise BudgetExceededError(
-            f"{args.q}^{E} + 1 pseudo orbits of lengths 0..{E} exceed budget {args.budget}"
+            f"{args.q}^{E} + 1 pseudo orbits of lengths 0..{E} exceed budget {limit}"
         )
     if args.method in ("det", "both"):
         _check_dimension(E)
@@ -236,7 +239,9 @@ def _cmd_coeffs(args) -> int:
     shown = det_coeffs if det_coeffs is not None else orbit_coeffs
     max_delta = None
     if args.method == "both":
-        max_delta = max(abs(d - o) for d, o in zip(det_coeffs, orbit_coeffs))
+        deltas = [abs(d - o) for d, o in zip(det_coeffs, orbit_coeffs)]
+        # max keeps its first value past a NaN, so a NaN delta is looked for
+        max_delta = math.nan if any(map(math.isnan, deltas)) else max(deltas)
 
     if args.format == "json":
         record = {
@@ -265,7 +270,7 @@ def _cmd_coeffs(args) -> int:
         if max_delta is not None:
             lines.append(f"max_delta={_plain(max_delta)}")
         _emit_lines(lines)
-    if max_delta is not None and max_delta > COEFF_MATCH_TOL:
+    if max_delta is not None and not max_delta <= COEFF_MATCH_TOL:  # NaN mismatches
         return EXIT_MISMATCH
     return EXIT_OK
 

@@ -17,8 +17,8 @@ decomposition has no repeated factor.
 
 Inside the package a pseudo orbit is a strictly decreasing tuple of
 indices into one table of Lyndon letter tuples, built once per enumeration;
-`PeriodicOrbit` and `PseudoOrbit` objects are built only where a caller
-asks for them.  Nothing is cached between calls.
+the public functions pass an orbit as its Lyndon `Word` and a pseudo orbit
+as a strictly decreasing tuple of them.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -82,49 +82,10 @@ def _windows(letters: tuple[int, ...], q: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class PeriodicOrbit(_Frozen):
-    """Primitive closed walk, canonicalized by its Lyndon representative."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: Word):
-        if len(word) == 0 or not is_lyndon(word):
-            raise ValueError(f"orbit representative {word} is not a Lyndon word")
-        self._set(word)
-
-    def edge_sequence(self, m: int) -> tuple[int, ...]:
-        """The l edge indices of the closed walk on the order-m graph."""
-        return _windows(self.word.letters, self.word.q, m + 1)
-
-    def __str__(self):
-        return str(self.word)
-
-
-class PseudoOrbit(_Frozen):
-    """A set of distinct primitive orbits, stored in strictly decreasing order."""
-
-    __slots__ = ("orbits", "q")
-
-    def __init__(self, orbits: tuple[PeriodicOrbit, ...], q: int):
-        orbits = tuple(orbits)
-        for o in orbits:
-            if o.word.q != q:
-                raise ValueError("orbit alphabet size differs from pseudo orbit")
-        for a, b in zip(orbits, orbits[1:]):
-            if not a.word.letters > b.word.letters:  # one alphabet, checked above
-                raise ValueError("orbits must be distinct and strictly decreasing")
-        self._set(orbits, q)
-
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return tuple(o.word for o in self.orbits)
-
-    def concatenated(self) -> Word:
-        letters = tuple(a for o in self.orbits for a in o.word.letters)
-        return Word(letters, self.q)
-
-    def __str__(self):
-        return _braced([str(o.word) for o in self.orbits], self.q)
+def _check_orbit(word: Word) -> None:
+    # a primitive orbit is passed as its Lyndon representative
+    if len(word) == 0 or not is_lyndon(word):
+        raise ValueError(f"orbit representative {word} is not a Lyndon word")
 
 
 def _braced(shown: list[str], q: int) -> str:
@@ -133,18 +94,17 @@ def _braced(shown: list[str], q: int) -> str:
     return "{" + ("," if q <= 10 else ";").join(shown) + "}"
 
 
-def primitive_pseudo_orbits(
-    q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> list[PseudoOrbit]:
-    """All primitive pseudo orbits of total topological length n.
+def primitive_pseudo_orbits(q: int, n: int) -> list[tuple[Word, ...]]:
+    """All primitive pseudo orbits of total topological length n, each a
+    strictly decreasing tuple of Lyndon words.
 
-    Emitted sorted by the dictionary order of their concatenated strictly
-    decreasing word; n = 0 yields the single empty pseudo orbit.  The
-    enumeration depends only on (q, n), not on the graph order.
+    Emitted sorted by the dictionary order of their concatenated word; n = 0
+    yields the single empty pseudo orbit.  The enumeration depends only on
+    (q, n), not on the graph order.
     """
-    words, items = _pseudo_orbit_tuples(q, n, budget)
-    orbits = [PeriodicOrbit(Word(w, q)) for w in words]
-    return [PseudoOrbit(tuple(orbits[i] for i in item), q) for item in items]
+    words, items = _pseudo_orbit_tuples(q, n)
+    table = [Word(w, q) for w in words]
+    return [tuple(table[i] for i in item) for item in items]
 
 
 def _pseudo_orbit_tuples(q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
@@ -176,12 +136,18 @@ def _pseudo_orbit_tuples(q: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGE
     return words, extend((), n, len(words))
 
 
-def edge_multiplicities(po: PseudoOrbit, graph: QNaryGraph) -> tuple[int, ...]:
-    """How many times the pseudo orbit traverses each edge of the graph."""
-    if po.q != graph.q:
-        raise ValueError("pseudo orbit and graph alphabet sizes differ")
+def edge_multiplicities(po: tuple[Word, ...], graph: QNaryGraph) -> tuple[int, ...]:
+    """How many times the pseudo orbit, a strictly decreasing tuple of
+    Lyndon words, traverses each edge of the graph."""
+    for word in po:
+        _check_orbit(word)
+        if word.q != graph.q:
+            raise ValueError("pseudo orbit and graph alphabet sizes differ")
+    for a, b in zip(po, po[1:]):
+        if not a.letters > b.letters:
+            raise ValueError("orbits must be distinct and strictly decreasing")
     counts = [0] * graph.num_edges
-    for orbit in po.orbits:
-        for e in orbit.edge_sequence(graph.m):
+    for word in po:
+        for e in _windows(word.letters, graph.q, graph.m + 1):
             counts[e] += 1
     return tuple(counts)

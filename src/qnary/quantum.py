@@ -34,8 +34,8 @@ from __future__ import annotations
 import math
 import operator
 
-from .debruijn import PeriodicOrbit, QNaryGraph, _pseudo_orbit_tuples, _windows, build_graph
-from .words import BudgetExceededError, _Frozen
+from .debruijn import QNaryGraph, _check_orbit, _pseudo_orbit_tuples, _windows, build_graph
+from .words import BudgetExceededError, Word, _Frozen
 
 DEFAULT_MAX_CHARPOLY_DIM = 64
 
@@ -314,17 +314,18 @@ def _char_polys(H: np.ndarray, work: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(p[N, ::-1].T)
 
 
-def orbit_amplitude(orbit: PeriodicOrbit, inst: SpectralInstance) -> complex:
-    """Cyclic product of Sigma entries along the orbit's edge sequence on
-    the instance's graph, read from the q x q DFT F by the orbit's letters:
-    the step from edge w[i..i+m] to w[i+1..i+m+1] (indices mod l) has the
-    entry F[w[i+m+1]][w[i]].
+def orbit_amplitude(orbit: Word, inst: SpectralInstance) -> complex:
+    """Cyclic product of Sigma entries along the edge walk of the orbit, a
+    Lyndon word, on the instance's graph, read from the q x q DFT F by its
+    letters: the step from edge w[i..i+m] to w[i+1..i+m+1] (indices mod l)
+    has the entry F[w[i+m+1]][w[i]].
 
     The modulus is always q^(-length/2), one factor 1/sqrt(q) per step.
     """
-    if orbit.word.q != inst.graph.q:
+    _check_orbit(orbit)
+    if orbit.q != inst.graph.q:
         raise ValueError("orbit and graph alphabet sizes differ")
-    return _word_amplitude(orbit.word.letters, inst.graph.m, dft_matrix(orbit.word.q).tolist())
+    return _word_amplitude(orbit.letters, inst.graph.m, dft_matrix(orbit.q).tolist())
 
 
 def _word_amplitude(word: tuple[int, ...], m: int, F: list[list[complex]]) -> complex:

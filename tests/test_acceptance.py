@@ -117,7 +117,7 @@ def test_criterion_05_pseudo_orbit_counts_and_graph_oracle():
         for n in range(0, 6):
             oracle = {frozenset(cycle_word(c) for c in combo) for combo in subsets(0, n)}
             enumerated = {
-                frozenset(word.letters for word in po.words)
+                frozenset(word.letters for word in po)
                 for po in primitive_pseudo_orbits(2, n)
             }
             assert oracle == enumerated

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from qnary.cli import main
-from qnary.debruijn import primitive_pseudo_orbits
+from qnary.debruijn import _braced, primitive_pseudo_orbits
 from qnary.words import lyndon_words
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -164,6 +164,12 @@ def test_factorize_letter_out_of_range(capsys):
     assert "error" in err
 
 
+def test_factorize_csv(capsys):
+    code, out, _ = run(capsys, "factorize", "0110", "--q", "2", "--format", "csv")
+    assert code == 0
+    assert out == "word,q,factors,strictly_decreasing\n0110,2,(011)(0),true\n"
+
+
 def test_factorize_json(capsys):
     code, out, _ = run(capsys, "factorize", "0110", "--q", "2", "--format", "json")
     assert code == 0
@@ -256,19 +262,20 @@ def test_refused_orbits_write_no_stdout(capsys, fmt):
 
 
 def one_shot_orbits(q, m, n, fmt):
-    # the whole output built at once from PseudoOrbit objects
+    # the whole output built at once from the public pseudo orbits
     orbits = primitive_pseudo_orbits(q, n)
+    listed = [[str(w) for w in po] for po in orbits]
+    shown = [_braced(words, q) for words in listed]
     if fmt == "json":
-        listed = [[str(w) for w in po.words] for po in orbits]
         record = {"q": q, "m": m, "n": n, "count": len(orbits), "pseudo_orbits": listed}
         return json.dumps(record, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        rows = [[str(po), len(po.orbits), sum(map(len, po.words))] for po in orbits]
+        rows = [[text, len(po), sum(map(len, po))] for text, po in zip(shown, orbits)]
         header = ["pseudo_orbit", "num_orbits", "total_length"]
         csv.writer(buf, lineterminator="\n").writerows([header] + rows)
         return buf.getvalue()
-    return "".join(f"{po}\n" for po in orbits) + f"count={len(orbits)}\n"
+    return "".join(f"{text}\n" for text in shown) + f"count={len(orbits)}\n"
 
 
 # the empty pseudo orbit at n = 0, and the ";" separator inside CSV quoting at q = 12
@@ -295,6 +302,14 @@ def test_coeffs_both_agree(capsys):
     assert lines[1] == "a_0 = (1, 0)"
     assert lines[-1].startswith("max_delta=")
     assert float(lines[-1].split("=")[1]) < 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_coeffs_nan_delta_is_a_mismatch(capsys):
+    # k * metric overflows, so the orbit route's a_2..a_4 are NaN
+    code, out, _ = run(capsys, "coeffs", "--q", "2", "--m", "1", "--k", "1e308", "--method", "both")
+    assert code == 1
+    assert out.splitlines()[-1] == "max_delta=nan"
 
 
 def test_coeffs_deterministic(capsys):
@@ -330,13 +345,18 @@ def test_coeffs_rejects_q1(capsys):
     [
         [],  # --method both: 2^32 + 1 pseudo orbits of lengths 0..32 against 10^8
         ["--method", "orbits", "--budget", "1000"],
+        # each length is enumerated under 10^8, so a larger --budget still refuses
+        ["--method", "orbits", "--budget", "10000000000"],
     ],
 )
 def test_coeffs_orbit_expansion_over_budget_exits_3_promptly(extra):
-    proc = run_fresh("-m", "qnary", "coeffs", "--q", "2", "--m", "4", "--k", "3.5", *extra)
+    proc = run_fresh(
+        "-m", "qnary", "coeffs", "--q", "2", "--m", "4", "--k", "3.5", *extra, timeout=20
+    )
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert "exceed budget" in proc.stderr
+    budget = min(int(extra[-1]), 10**8) if extra else 10**8
+    assert f"exceed budget {budget}\n" in proc.stderr
 
 
 @pytest.mark.parametrize("method", ["det", "orbits"])
@@ -438,6 +458,16 @@ def test_variance_with_samples(capsys):
     record = json.loads(out)
     assert "mc_estimate" in record and "mc_std_error" in record
     assert record["k_max"] == 100.0
+
+
+def test_variance_plain(capsys):
+    code, out, _ = run(capsys, "variance", "--q", "2", "--m", "2", "--n", "4",
+                       "--samples", "0", "--seed", "7", "--format", "plain")
+    assert code == 0
+    assert out == (
+        "q=2\nm=2\nn=4\nseed=7\nsamples=0\npseudo_orbit_count=8\n"
+        "diag=0.5\nexact_grouped=0.75\ncue_ref=1\ncoe_ref=2.77777777778\n"
+    )
 
 
 def test_variance_csv(capsys):

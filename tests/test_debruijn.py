@@ -9,9 +9,9 @@ import itertools
 import pytest
 
 from qnary.debruijn import (
-    PeriodicOrbit,
-    PseudoOrbit,
+    _braced,
     _pseudo_orbit_tuples,
+    _windows,
     build_graph,
     edge_multiplicities,
     primitive_pseudo_orbits,
@@ -35,6 +35,20 @@ def w(text, q=2):
 def index(text, q=2):
     # vertex and edge indices are the base-q values of their words
     return int(text, q)
+
+
+def walk(word, m):
+    # the edge indices of the closed walk a word traces on the order-m graph
+    return _windows(word.letters, word.q, m + 1)
+
+
+def braced(po, q=2):
+    # the display of a pseudo orbit, as `orbits` prints it
+    return _braced([str(word) for word in po], q)
+
+
+def concatenated(po, q=2):
+    return Word(tuple(a for word in po for a in word.letters), q)
 
 
 # --- graph structure ----------------------------------------------------------
@@ -100,40 +114,36 @@ def test_degrees_and_connectivity(q, m):
 
 def test_orbit_vertex_cycle_example():
     # the vertices visited are the origins of the walk's edges
-    orbit = PeriodicOrbit(w("0001"))
     g = build_graph(2, 3)
     expected = [index(s) for s in ["000", "001", "010", "100"]]
-    assert [g.edge_origin(e) for e in orbit.edge_sequence(3)] == expected
+    assert [g.edge_origin(e) for e in walk(w("0001"), 3)] == expected
 
 
 def test_orbit_shorter_than_order_wraps():
-    orbit = PeriodicOrbit(w("0"))
-    g = build_graph(2, 3)
-    assert orbit.edge_sequence(3) == (index("0000"),)
+    assert walk(w("0"), 3) == (index("0000"),)
 
 
 def test_orbit_edge_sequence_example():
-    orbit = PeriodicOrbit(w("01"))
-    g = build_graph(2, 2)
-    assert orbit.edge_sequence(2) == (index("010"), index("101"))
+    assert walk(w("01"), 2) == (index("010"), index("101"))
 
 
 def test_orbit_rejects_non_lyndon():
-    with pytest.raises(ValueError):
-        PeriodicOrbit(w("10"))
-    with pytest.raises(ValueError):
-        PeriodicOrbit(w("0101"))
-    with pytest.raises(ValueError):
-        PeriodicOrbit(Word((), 2))
+    g = build_graph(2, 2)
+    for word in (w("10"), w("0101"), Word((), 2)):
+        with pytest.raises(ValueError, match="is not a Lyndon word"):
+            edge_multiplicities((word,), g)
 
 
 def test_primitive_periodic_orbits_counts():
-    # one orbit per Lyndon word, in dictionary order
-    orbits = [PeriodicOrbit(word) for word in lyndon_words(2, 4)]
-    assert [str(o) for o in orbits] == ["0001", "0011", "0111"]
-    assert [str(PeriodicOrbit(word)) for word in lyndon_words(2, 1)] == ["0", "1"]
+    # one orbit per Lyndon word, in dictionary order: the single-member
+    # pseudo orbits of length l
+    for l in (1, 4, 6):
+        singles = [po[0] for po in primitive_pseudo_orbits(2, l) if len(po) == 1]
+        assert singles == lyndon_words(2, l)
+    assert [str(word) for word in lyndon_words(2, 4)] == ["0001", "0011", "0111"]
+    assert [str(word) for word in lyndon_words(2, 1)] == ["0", "1"]
     # L_2(6) = (2^6 - 2^3 - 2^2 + 2)/6 = 9
-    assert len([PeriodicOrbit(word) for word in lyndon_words(2, 6)]) == 9
+    assert len(lyndon_words(2, 6)) == 9
 
 
 @pytest.mark.parametrize("q,max_l", [(2, 8), (3, 8)])
@@ -141,8 +151,8 @@ def test_orbit_walks_are_closed_and_connected(q, max_l):
     for m in range(1, 5):
         g = build_graph(q, m)
         for l in range(1, max_l + 1):
-            for orbit in map(PeriodicOrbit, lyndon_words(q, l)):
-                edges = orbit.edge_sequence(m)
+            for word in lyndon_words(q, l):
+                edges = walk(word, m)
                 assert len(edges) == l
                 for i, e in enumerate(edges):
                     nxt = edges[(i + 1) % l]
@@ -154,7 +164,7 @@ def test_orbit_walks_are_closed_and_connected(q, max_l):
 
 def test_pseudo_orbit_enumeration_length_4():
     orbits = primitive_pseudo_orbits(2, 4)
-    assert [str(po) for po in orbits] == [
+    assert [braced(po) for po in orbits] == [
         "{0001}",
         "{001,0}",
         "{0011}",
@@ -168,9 +178,7 @@ def test_pseudo_orbit_enumeration_length_4():
 
 def test_pseudo_orbit_empty_and_budget():
     empty = primitive_pseudo_orbits(2, 0)
-    assert len(empty) == 1
-    assert len(empty[0].orbits) == 0
-    assert sum(map(len, empty[0].words)) == 0
+    assert empty == [()]
     with pytest.raises(BudgetExceededError):
         primitive_pseudo_orbits(2, 40)
     with pytest.raises(BudgetExceededError):
@@ -187,14 +195,14 @@ def test_pseudo_orbit_count_matches_closed_form(q, max_n):
         if n >= 2:
             assert len(orbits) == (q - 1) * q ** (n - 1)
         for po in orbits:
-            assert sum(map(len, po.words)) == n
-            assert len(po.orbits) == len(set(po.words))
+            assert sum(map(len, po)) == n
+            assert len(po) == len(set(po))
 
 
 def test_pseudo_orbit_emission_order_is_concatenation_order():
     for q, n in [(2, n) for n in range(9)] + [(3, n) for n in range(7)]:
         orbits = primitive_pseudo_orbits(q, n)
-        keys = [po.concatenated().letters for po in orbits]
+        keys = [concatenated(po, q).letters for po in orbits]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
     # the bijection itself: walking all q^n words in dictionary order and
@@ -212,26 +220,28 @@ def test_pseudo_orbit_bijection_roundtrip():
     # concatenating the strictly decreasing words and refactorizing recovers them
     for n in range(1, 11):
         for po in primitive_pseudo_orbits(2, n):
-            refactored = duval_factorize(po.concatenated())
-            assert refactored.factors == po.words
+            refactored = duval_factorize(concatenated(po))
+            assert refactored.factors == po
 
 
 def test_pseudo_orbit_validation():
-    with pytest.raises(ValueError):
-        PseudoOrbit((PeriodicOrbit(w("0")), PeriodicOrbit(w("1"))), 2)  # increasing
-    with pytest.raises(ValueError):
-        PseudoOrbit((PeriodicOrbit(w("1")), PeriodicOrbit(w("1"))), 2)  # repeated
-    po = PseudoOrbit((PeriodicOrbit(w("1")), PeriodicOrbit(w("0"))), 2)
-    assert str(po) == "{1,0}"
+    g = build_graph(2, 1)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        edge_multiplicities((w("0"), w("1")), g)  # increasing
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        edge_multiplicities((w("1"), w("1")), g)  # repeated
+    with pytest.raises(ValueError, match="alphabet sizes differ"):
+        edge_multiplicities((w("1"), w("0", q=3)), g)
+    po = (w("1"), w("0"))
+    assert sum(edge_multiplicities(po, g)) == 2
+    assert braced(po) == "{1,0}"
 
 
 def test_pseudo_orbit_rendering_large_alphabet():
     # above ten letters the words themselves carry commas, so the set
     # separator switches to ";"
-    single = PseudoOrbit((PeriodicOrbit(Word((0, 1), 12)),), 12)
-    assert str(single) == "{0,1}"
-    pair = PseudoOrbit((PeriodicOrbit(Word((1,), 12)), PeriodicOrbit(Word((0,), 12))), 12)
-    assert str(pair) == "{1;0}"
+    assert braced((Word((0, 1), 12),), 12) == "{0,1}"
+    assert braced((Word((1,), 12), Word((0,), 12)), 12) == "{1;0}"
 
 
 def test_enumeration_independent_of_graph_order():
@@ -323,7 +333,7 @@ def test_graph_native_oracle_matches_word_enumeration():
             for combo in subsets(0, n)
         }
         word_sets = {
-            frozenset(word.letters for word in po.words)
+            frozenset(word.letters for word in po)
             for po in primitive_pseudo_orbits(2, n)
         }
         assert oracle_sets == word_sets, f"mismatch at n={n}"
@@ -334,25 +344,22 @@ def test_graph_native_oracle_matches_word_enumeration():
 
 def test_edge_multiplicities_examples():
     g3 = build_graph(2, 3)
-    po = PseudoOrbit((PeriodicOrbit(w("0")),), 2)
-    vec = edge_multiplicities(po, g3)
+    vec = edge_multiplicities((w("0"),), g3)
     assert vec[index("0000")] == 1
     assert sum(vec) == 1
 
     g2 = build_graph(2, 2)
-    po = PseudoOrbit((PeriodicOrbit(w("01")),), 2)
-    vec = edge_multiplicities(po, g2)
+    vec = edge_multiplicities((w("01"),), g2)
     expected = [0] * g2.num_edges
     expected[index("010")] = 1
     expected[index("101")] = 1
     assert vec == tuple(expected)
 
-    po = PseudoOrbit((PeriodicOrbit(w("1")), PeriodicOrbit(w("01")), PeriodicOrbit(w("0"))), 2)
-    assert sum(edge_multiplicities(po, g2)) == 4
+    assert sum(edge_multiplicities((w("1"), w("01"), w("0")), g2)) == 4
 
 
 def test_edge_multiplicity_totals_equal_topological_length():
     g = build_graph(3, 2)
     for n in range(0, 6):
         for po in primitive_pseudo_orbits(3, n):
-            assert sum(edge_multiplicities(po, g)) == sum(map(len, po.words))
+            assert sum(edge_multiplicities(po, g)) == sum(map(len, po))

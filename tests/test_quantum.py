@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from qnary.debruijn import (
-    PeriodicOrbit,
+    _braced,
+    _windows,
     build_graph,
     primitive_pseudo_orbits,
 )
@@ -333,10 +334,19 @@ def test_char_poly_rejects_non_square():
 
 def test_orbit_amplitude_loop():
     inst = build_instance(2, 1, seed=0)
-    amp = orbit_amplitude(PeriodicOrbit(w("0")), inst)
+    amp = orbit_amplitude(w("0"), inst)
     assert amp == pytest.approx(INV_SQRT2)
     # single-factor product: equals the matching Sigma entry
     assert amp == inst.sigma[0, 0]
+
+
+def test_orbit_amplitude_rejects_what_is_not_an_orbit():
+    inst = build_instance(2, 1, seed=0)
+    for word in (w("10"), w("0101"), Word((), 2)):
+        with pytest.raises(ValueError, match="is not a Lyndon word"):
+            orbit_amplitude(word, inst)
+    with pytest.raises(ValueError, match="alphabet sizes differ"):
+        orbit_amplitude(w("01", q=3), inst)
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 1)])
@@ -344,11 +354,9 @@ def test_orbit_amplitude_modulus(q, m):
     inst = build_instance(q, m, seed=0)
     for n in range(1, 6):
         for po in primitive_pseudo_orbits(q, n):
-            for orbit in po.orbits:
+            for orbit in po:
                 amp = orbit_amplitude(orbit, inst)
-                assert abs(amp) ** 2 == pytest.approx(
-                    q ** (-len(orbit.word)), abs=1e-12
-                )
+                assert abs(amp) ** 2 == pytest.approx(q ** (-len(orbit)), abs=1e-12)
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 3), (3, 2), (4, 1)])
@@ -358,8 +366,8 @@ def test_orbit_amplitude_is_the_cyclic_product_of_sigma_entries(q, m):
     inst = build_instance(q, m, seed=0)
     sigma = assemble_sigma(inst.graph)
     for length in range(1, 2 * m + 3):
-        for orbit in map(PeriodicOrbit, lyndon_words(q, length)):
-            edges = orbit.edge_sequence(m)
+        for orbit in lyndon_words(q, length):
+            edges = _windows(orbit.letters, q, m + 1)
             product = 1 + 0j
             for i, e in enumerate(edges):
                 product *= sigma[edges[(i + 1) % length], e]
@@ -374,7 +382,7 @@ def test_pseudo_orbit_amplitude():
     assert weights.tolist() == [1]  # the empty pseudo orbit
     # length 2: {01} then {1,0}; one orbit, so the sign is -1
     weights, _ = expansion_terms(inst, 2)
-    assert weights[0] == -orbit_amplitude(PeriodicOrbit(w("01")), inst)
+    assert weights[0] == -orbit_amplitude(w("01"), inst)
     for n in range(0, 7):
         weights, _ = expansion_terms(inst, n)
         assert np.abs(weights) ** 2 == pytest.approx(2.0**-n, abs=1e-12)
@@ -389,7 +397,7 @@ def test_pseudo_orbit_length():
 
     inst2 = build_instance(2, 2, seed=9)
     ell2 = inst2.lengths
-    orbits = [str(po) for po in primitive_pseudo_orbits(2, 4)]
+    orbits = [_braced([str(word) for word in po], 2) for po in primitive_pseudo_orbits(2, 4)]
     metric = expansion_terms(inst2, 4)[1]
     # edge indices are the base-2 values of the edge words
     expected = ell2[int("111", 2)] + ell2[int("010", 2)]
@@ -399,8 +407,9 @@ def test_pseudo_orbit_length():
 
 @pytest.mark.parametrize("q,m,n_max", [(2, 1, 4), (2, 2, 8), (2, 3, 12), (3, 1, 9)])
 def test_expansion_terms_match_orbit_objects(q, m, n_max):
-    # independent route: public PseudoOrbit objects, orbit_amplitude and
-    # PeriodicOrbit.edge_sequence, multiplied and summed orbit by orbit
+    # independent route: the public pseudo orbits as tuples of Lyndon words,
+    # orbit_amplitude and each word's edge walk, multiplied and summed orbit
+    # by orbit
     inst = build_instance(q, m, seed=21)
     ell = inst.lengths
     for n in range(n_max + 1):
@@ -409,10 +418,10 @@ def test_expansion_terms_match_orbit_objects(q, m, n_max):
         assert len(weights) == len(metric) == len(orbits)
         for po, weight, length in zip(orbits, weights, metric):
             amp, total = 1 + 0j, 0.0
-            for orbit in po.orbits:
+            for orbit in po:
                 amp *= orbit_amplitude(orbit, inst)
-                total += float(sum(ell[e] for e in orbit.edge_sequence(m)))
-            assert weight == (-amp if len(po.orbits) % 2 else amp)
+                total += float(sum(ell[e] for e in _windows(orbit.letters, q, m + 1)))
+            assert weight == (-amp if len(po) % 2 else amp)
             assert length == total
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qnary import quantum, spectral_stats
-from qnary.debruijn import PeriodicOrbit, edge_multiplicities, primitive_pseudo_orbits
+from qnary.debruijn import _windows, edge_multiplicities, primitive_pseudo_orbits
 from qnary.quantum import build_instance, dft_matrix, expansion_terms
 from qnary.spectral_stats import (
     _balanced_subset_variances,
@@ -405,8 +405,7 @@ def _random_balanced_set(q, m, rng):
     for _ in range(int(rng.integers(1, 6))):
         length = int(rng.integers(1, 2 * m + 3))
         words = lyndon_words(q, length)
-        orbit = PeriodicOrbit(words[int(rng.integers(len(words)))])
-        edges = orbit.edge_sequence(m)
+        edges = _windows(words[int(rng.integers(len(words)))].letters, q, m + 1)
         if len(set(edges)) == len(edges) and chosen.isdisjoint(edges):
             chosen.update(edges)
     return sorted(chosen)
