@@ -3,8 +3,9 @@
 
 For each seed, draws random wavenumbers and reports the worst coefficient
 discrepancy max_n |a_n^orbits - a_n^det| on the chosen graph.  The
-wavenumbers come from the package's seeded PCG64 stream, the generator
-behind the edge lengths and the Monte-Carlo sampler.
+wavenumbers are k_max times the package's seeded stream (`_random`, Python's
+Mersenne Twister), the draws behind the edge lengths and the Monte-Carlo
+sampler.
 
     python3 scripts/expansion_check.py --q 2 --m 2 --seeds 5 --k-count 20
 """
@@ -14,7 +15,7 @@ import argparse
 import numpy as np
 
 from qnary.quantum import (
-    _PCG64,
+    _random,
     build_instance,
     char_poly_direct,
     evolution_operator,
@@ -37,7 +38,7 @@ def main():
         # the pseudo orbits are enumerated once per n, not once per (n, k)
         terms = [expansion_terms(inst, n) for n in range(inst.graph.num_edges + 1)]
         worst = 0.0
-        for k in _PCG64(seed).uniform(0.0, args.k_max, args.k_count):
+        for k in args.k_max * _random(seed, args.k_count):
             direct = char_poly_direct(evolution_operator(inst, k)).a
             expanded = np.array(
                 [complex(np.dot(w, np.exp(1j * k * ell))) for w, ell in terms]

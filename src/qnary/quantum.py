@@ -25,8 +25,8 @@ route enumerates the pseudo orbits it needs afresh on every call; nothing
 is cached on the instance, so a caller that evaluates many k takes
 `expansion_terms` once.  numpy is imported inside the functions that
 compute, so the combinatorial commands, which never call them, start
-without loading it.  Seeded draws come from `_PCG64`, numpy's default
-generator computed here bit for bit, so no path loads `numpy.random`.
+without loading it.  Seeded draws come from `_random`, Python's own
+Mersenne Twister, so no path loads `numpy.random`.
 """
 
 from __future__ import annotations
@@ -72,107 +72,31 @@ def assemble_sigma(graph: QNaryGraph) -> np.ndarray:
     return entries
 
 
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_BLOCK = 1024  # draws per array step of `_PCG64.random`
+def _random(seed: int, size: int) -> np.ndarray:
+    """The first `size` draws of `random.Random(seed).random()`, Python's
+    Mersenne Twister (Matsumoto & Nishimura 1998), as doubles on [0, 1).
+    CPython keeps this sequence for an integer seed across versions."""
+    import itertools
+    import random
 
+    import numpy as np
 
-def _seed_words(seed: int) -> list[int]:
-    """numpy's `SeedSequence(seed).generate_state(4, np.uint64)`: the seed's
-    32-bit words hashed into a pool of four, then drawn out as 64-bit words."""
     seed = operator.index(seed)
-    if seed < 0:
+    if seed < 0:  # random.Random would take the absolute value
         raise ValueError(f"expected non-negative integer, got {seed}")
-    entropy = [seed & _M32]
-    while seed := seed >> 32:
-        entropy.append(seed & _M32)
-    h = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * 0x931E8875 & _M32
-        value = value * h & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for value in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(value))
-    words, g = [], 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ g
-        g = g * 0x58F38DED & _M32
-        value = value * g & _M32
-        words.append(value ^ value >> 16)
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-class _PCG64:
-    """numpy's default generator without `numpy.random`: PCG64 (O'Neill
-    2014), a 128-bit LCG with XSL-RR output, seeded through SeedSequence.
-    `random` and `uniform` return, bit for bit, what the same calls on
-    `numpy.random.default_rng(seed)` return, however the draws are split
-    into calls."""
-
-    def __init__(self, seed: int):
-        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
-        self.inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        # one step from 0, add the seed, one more step
-        self.state = ((self.inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self.inc) & _M128
-
-    def random(self, size: int) -> np.ndarray:
-        """`size` doubles on [0, 1): each output's top 53 bits over 2^53."""
-        import numpy as np
-
-        # j steps on, the state is a_j s + c_j mod 2^128; the table holds the
-        # (a_j, c_j) words, and each block maps the block's first state to all of it
-        a, c, table = 1, 0, []
-        for _ in range(min(size, _PCG_BLOCK)):
-            a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + self.inc) & _M128
-            table.append((a >> 64, a & _M64, c >> 64, c & _M64))
-        a_hi, a_lo, c_hi, c_lo = np.array(table, dtype=np.uint64).reshape(-1, 4).T
-        a0, a1 = a_lo & _M32, a_lo >> 32
-        out = np.empty(size, dtype=np.uint64)
-        for lo in range(0, size, _PCG_BLOCK):
-            n = min(_PCG_BLOCK, size - lo)
-            s = self.state
-            s0, s1 = np.uint64(s & _M32), np.uint64(s >> 32 & _M32)
-            s_lo, s_hi = np.uint64(s & _M64), np.uint64(s >> 64)
-            # the high word of a_lo s_lo from 32-bit halves; the rest wraps mod 2^64
-            cross0, cross1 = a0[:n] * s1, a1[:n] * s0
-            mid = (a0[:n] * s0 >> 32) + (cross0 & _M32) + (cross1 & _M32)
-            high = a1[:n] * s1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
-            high += a_hi[:n] * s_lo + a_lo[:n] * s_hi + c_hi[:n]
-            low = a_lo[:n] * s_lo + c_lo[:n]
-            high += low < c_lo[:n]
-            self.state = int(high[-1]) << 64 | int(low[-1])
-            x, rot = high ^ low, high >> 58
-            out[lo : lo + n] = x >> rot | x << (64 - rot & 63)
-        return (out >> 11) * (1.0 / 2**53)
-
-    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        return low + (high - low) * self.random(size)
+    draw = random.Random(seed).random
+    return np.fromiter(itertools.starmap(draw, itertools.repeat((), size)), float, size)
 
 
 def sample_edge_lengths(graph: QNaryGraph, seed: int) -> np.ndarray:
-    """Draw E i.i.d. lengths uniform on [1, 2) from the seeded PCG64 stream
-    (`_PCG64`, the values of `numpy.random.default_rng(seed)`), as a
-    read-only array.
+    """Draw E i.i.d. lengths uniform on [1, 2) from the seed's stream
+    (`_random`), as a read-only array.
 
     The same seed reproduces the same vector bit for bit.  Random draws are
     rationally independent with probability 1, which is the premise of the
     degeneracy-grouped wavenumber average.
     """
-    lengths = 1.0 + _PCG64(seed).random(graph.num_edges)
+    lengths = 1.0 + _random(seed, graph.num_edges)
     lengths.setflags(write=False)
     return lengths
 
@@ -198,14 +122,24 @@ def build_instance(q: int, m: int, seed: int) -> SpectralInstance:
 
 
 def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
-    """U(k) = diag(e^{i k l_e}) Sigma, unitary for every real k."""
+    """U(k) = diag(e^{i k l_e}) Sigma, unitary for every real k with 2|k|
+    finite (`_check_phase`)."""
     import numpy as np
 
-    k = float(k)
-    if not math.isfinite(k):
-        raise ValueError(f"wavenumber must be finite, got {k}")
+    k = _check_phase(k, 1)
     phases = np.exp(1j * k * inst.lengths)
     return phases[:, None] * inst.sigma
+
+
+def _check_phase(k: float, n: int, name: str = "wavenumber") -> float:
+    """k as a float, refused unless 2 n |k| is finite: every edge is shorter
+    than 2, so that bounds each phase k * length over at most n edges."""
+    k = float(k)
+    if not math.isfinite(k):
+        raise ValueError(f"{name} must be finite, got {k}")
+    if not math.isfinite(2 * n * abs(k)):
+        raise ValueError(f"{name} {k} is too large: the phase bound 2 * {n} * |{name}| overflows")
+    return k
 
 
 def _check_index(n: int, E: int) -> None:
@@ -385,8 +319,6 @@ def coeff_from_pseudo_orbits(n: int, inst: SpectralInstance, k: float) -> comple
     import numpy as np
 
     _check_index(n, inst.graph.num_edges)
-    k = float(k)
-    if not math.isfinite(k):
-        raise ValueError(f"wavenumber must be finite, got {k}")
+    k = _check_phase(k, n)
     weights, metric = expansion_terms(inst, n)
     return complex(np.dot(weights, np.exp(1j * k * metric)))

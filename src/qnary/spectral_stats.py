@@ -49,11 +49,12 @@ import heapq
 from .debruijn import build_graph
 from .quantum import (
     SpectralInstance,
-    _PCG64,
     _char_polys,
     _check_dimension,
     _check_index,
+    _check_phase,
     _pseudo_orbit_terms,
+    _random,
     build_instance,
     dft_matrix,
 )
@@ -330,6 +331,7 @@ def _check_sampling(samples: int, k_max: float) -> None:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if not 0 < k_max < float("inf"):
         raise ValueError(f"k_max must be finite and positive, got {k_max}")
+    _check_phase(k_max, 1, "k_max")
 
 
 def _check_sample_size(samples: int, E: int) -> None:
@@ -348,8 +350,7 @@ def _sampled_coefficients(
     [0, k_max]: row i holds a_(ns[i]) at every draw.  Deterministic for a
     given seed.
 
-    The draws are the seed's PCG64 stream (`_PCG64`), the values of
-    `numpy.random.default_rng(seed).uniform(0, k_max, samples)`.  Each
+    The draws are k_max times the seed's stream (`_random`).  Each
     chunk's U(k) is one broadcast and its polynomials one `_char_polys`
     call; rows are reproducible for this chunk rule, not bit-identical
     across chunk sizes.  U(k), the products and the polynomials live in
@@ -360,7 +361,7 @@ def _sampled_coefficients(
     E = inst.graph.num_edges
     _check_sampling(samples, k_max)
     _check_sample_size(samples, E)
-    ks = _PCG64(seed).uniform(0.0, k_max, samples)
+    ks = k_max * _random(seed, samples)
     chunk = min(samples, max(1, _SAMPLE_CHUNK_BYTES // (16 * E * E)))
     sigma = inst.sigma[:, :, None]
     U, work = np.empty(E * E * chunk, dtype=complex), np.empty(E * E * chunk, dtype=complex)

@@ -304,12 +304,32 @@ def test_coeffs_both_agree(capsys):
     assert float(lines[-1].split("=")[1]) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_coeffs_nan_delta_is_a_mismatch(capsys):
-    # k * metric overflows, so the orbit route's a_2..a_4 are NaN
-    code, out, _ = run(capsys, "coeffs", "--q", "2", "--m", "1", "--k", "1e308", "--method", "both")
+def test_coeffs_nan_delta_is_a_mismatch(capsys, monkeypatch):
+    # max would keep its first value past a NaN delta; the comparison must not
+    monkeypatch.setattr("qnary.cli.coeff_from_pseudo_orbits", lambda n, inst, k: complex("nan"))
+    code, out, _ = run(capsys, "coeffs", "--q", "2", "--m", "1", "--k", "3.5", "--method", "both")
     assert code == 1
     assert out.splitlines()[-1] == "max_delta=nan"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--q", "2", "--m", "1", "--k", "1e308", "--method", "both"],
+        ["coeffs", "--q", "2", "--m", "1", "--k", "1e308", "--method", "orbits"],
+        ["coeffs", "--q", "2", "--m", "1", "--k=-1e308", "--method", "det"],
+        ["variance", "--q", "2", "--m", "1", "--n", "2", "--samples", "1000",
+         "--k-max", "1e308", "--seed", "1"],
+    ],
+    ids=["coeffs-both", "coeffs-orbits", "coeffs-det", "variance"],
+)
+def test_overflowing_phase_is_usage_error(capsys, argv):
+    # every edge is shorter than 2, so 2 n |k| bounds a phase over n edges
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "is too large: the phase bound" in err
 
 
 def test_coeffs_deterministic(capsys):
@@ -735,8 +755,28 @@ print(code, "numpy" in sys.modules, "numpy.random" in sys.modules)
 
 
 def test_seeded_draws_never_import_numpy_random():
-    # the edge lengths and the Monte-Carlo wavenumbers come from the package's
-    # own PCG64 stream; numpy.random alone adds ~6 MB to a process's peak
+    # the edge lengths and the Monte-Carlo wavenumbers come from Python's
+    # random.Random; numpy.random alone adds ~6 MB to a process's peak
     proc = run_fresh("-c", NUMPY_RANDOM_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variance", "--q", "2", "--m", "2", "--n", "4", "--samples", "200", "--seed", "7"],
+        ["coeffs", "--q", "2", "--m", "2", "--k", "3.5", "--seed", "7", "--method", "det",
+         "--format", "json"],
+    ],
+    ids=["variance", "coeffs"],
+)
+def test_seeded_output_is_the_same_in_every_process(argv, monkeypatch):
+    # the stream depends on the seed alone, not on string hashing
+    outputs = []
+    for hash_seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        proc = run_fresh("-m", "qnary", *argv)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] != ""
