@@ -4,8 +4,8 @@
 For each seed, draws random wavenumbers and reports the worst coefficient
 discrepancy max_n |a_n^orbits - a_n^det| on the chosen graph.  The
 wavenumbers are k_max times the package's seeded stream (`_random`, Python's
-Mersenne Twister), the draws behind the edge lengths and the Monte-Carlo
-sampler.
+Mersenne Twister) past the E draws the edge lengths take, as in the
+Monte-Carlo sampler.
 
     python3 scripts/expansion_check.py --q 2 --m 2 --seeds 5 --k-count 20
 """
@@ -35,10 +35,11 @@ def main():
     print("seed,worst_delta")
     for seed in range(args.seeds):
         inst = build_instance(args.q, args.m, seed)
+        E = inst.graph.num_edges
         # the pseudo orbits are enumerated once per n, not once per (n, k)
-        terms = [expansion_terms(inst, n) for n in range(inst.graph.num_edges + 1)]
+        terms = [expansion_terms(inst, n) for n in range(E + 1)]
         worst = 0.0
-        for k in args.k_max * _random(seed, args.k_count):
+        for k in args.k_max * _random(seed, E + args.k_count)[E:]:
             direct = char_poly_direct(evolution_operator(inst, k)).a
             expanded = np.array(
                 [complex(np.dot(w, np.exp(1j * k * ell))) for w, ell in terms]

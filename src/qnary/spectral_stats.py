@@ -220,16 +220,17 @@ def _balanced_subset_variances(
     one integer code and carries a polynomial in |S| truncated at degree d.
     A vertex's weight is applied when it closes, after which states that
     differ only in its slot merge.  Each weight comes from `_minor_weight`
-    on the <= q x q minor, once per mask and call, so no value depends on
-    LAPACK.
+    on the <= q x q minor, once per mask and call (a dict of the masks met,
+    read once per state), so no value depends on LAPACK.
 
-    Each state also carries `need`: its lowest non-zero degree plus
-    sum_v |B_v - C_v| / 2 over the open vertices, the fewest edges that
-    could balance every vertex (the sum is even: every edge adds to one B
-    and one C, and closed vertices are balanced).  Taking edge o -> t adds
-    (|B_o| <= |C_o|) + (|B_t| >= |C_t|) to it, a loop 1, and a merge keeps
-    the minimum.  A state is dropped when a vertex can no longer balance,
-    tested on the edge's two end columns, or when its need exceeds d.
+    A state's int64 row in `aux` holds `need`, then |B_v| - |C_v| per slot.
+    need is its lowest non-zero degree plus sum_v |B_v - C_v| / 2 over the
+    open vertices, the fewest edges that could balance every vertex (the sum
+    is even: every edge adds to one B and one C, and closed vertices are
+    balanced).  Taking edge o -> t adds (|B_o| <= |C_o|) + (|B_t| >= |C_t|)
+    to it, a loop 1, and a merge keeps the minimum.  A state is dropped when
+    its need exceeds d or a vertex can no longer balance, tested on the
+    edge's two end columns wherever the bound can fail.
 
     Returns None once the live states exceed max_states or their running
     sum over the steps exceeds max_work.
@@ -242,62 +243,49 @@ def _balanced_subset_variances(
     bits, letters = 2 * q, (1 << q) - 1
     vertex = (1 << bits) - 1
     dft = dft_matrix(q).tolist()
-    weight: dict[int, float] = {}
-
-    def starts(ordered: np.ndarray) -> np.ndarray:
-        # where each run of equal values begins in a sorted array
-        return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-
-    def weights(masks: np.ndarray) -> np.ndarray:
-        order = np.argsort(masks, kind="stable")
-        ordered = masks[order]
-        first = starts(ordered)
-        values = []
-        for x in ordered[first].tolist():
-            if x not in weight:
-                B = [j for j in range(q) if x >> j & 1]
-                C = [j for j in range(q) if x >> (q + j) & 1]
-                weight[x] = _minor_weight(dft, C, B)
-            values.append(weight[x])
-        w = np.empty(len(masks))
-        w[order] = np.repeat(values, np.diff(first, append=len(masks)))
-        return w
-
     # object codes hold Python ints when the slots outgrow 63 bits
     codes = np.zeros(1, dtype=np.int64 if width * bits < 63 else object)
-    imbalance = np.zeros((1, width), dtype=np.int64)  # |B_v| - |C_v| per slot
-    need = np.zeros(1, dtype=np.int64)  # lowest degree + sum_v |B_v - C_v| / 2
-    polys = np.zeros((1, d + 1))
-    polys[0, 0] = 1.0
+    aux = np.zeros((1, width + 1), dtype=np.int64)
+    polys = np.eye(1, d + 1)
+    weight: dict[int, float] = {}  # of each mask met so far
+
+    def passes(tests: list, *ranges: tuple) -> np.ndarray:
+        # the tests, and each bound of low <= x <= high that x, known in lo..hi, can fail
+        for x, low, high, lo, hi in ranges:
+            tests += [low <= x] if low > lo else []
+            tests += [x <= high] if high < hi else []
+        out = tests[0] if tests else np.ones(len(codes), dtype=bool)
+        for test in tests[1:]:
+            out &= test
+        return out
+
+    def pick(rows: np.ndarray) -> tuple:
+        return codes[rows], aux.take(rows, axis=0), polys.take(rows, axis=0)
+
     work = 0
-    for so, c, st, b, bounds, completed, closed in steps:
+    for so, c, st, b, ((o_low, o_high), (t_low, t_high)), completed, closed in steps:
         work += len(codes)
         if len(codes) > max_states or work > max_work:
             return None
-        # taking the edge adds c to its origin's C and b to its terminus's B
-        (o_low, o_high), (t_low, t_high) = bounds
-        io, it = imbalance[:, so], imbalance[:, st]
-        stay = (o_low <= io) & (io <= o_high) & (t_low <= it) & (it <= t_high)
-        if so == st:
-            grow = need + 1
-            take = stay & (grow <= d)
-        else:
-            grow = need + (io <= 0) + (it >= 0)
-            take = (o_low < io) & (io <= o_high + 1) & (t_low <= it + 1) & (it < t_high)
-            take &= grow <= d
-        kept, taken = np.flatnonzero(stay), np.flatnonzero(take)
+        loop = so == st
+        need, io, it = aux[:, 0], aux[:, 1 + so], aux[:, 1 + st]
+        # before the edge a slot's |B| - |C| lies in -(out-edges) .. in-edges processed
+        o_reach, t_reach = (o_high + 1 - q, q + o_low - loop), (t_high + loop - q, q + t_low - 1)
+        stay = passes([], (io, o_low, o_high, *o_reach), (it, t_low, t_high, *t_reach))
+        # taking it moves the origin's |B| - |C| by -u and the terminus's by u, 0 on a loop
+        u, grow = (0, need + 1) if loop else (1, need + (io <= 0) + (it >= 0))
+        take = passes([grow <= d], (io, o_low + u, o_high + u, *o_reach),
+                      (it, t_low - u, t_high - u, *t_reach))
+        kept, taken = stay.nonzero()[0], take.nonzero()[0]
         split = len(kept)
-        add = (1 << (so * bits + q + c)) | (1 << (st * bits + b))
-        codes = np.concatenate([codes[kept], codes[taken] | add])
-        need = np.concatenate([need[kept], grow[taken]])
-        imbalance = imbalance[np.concatenate([kept, taken])]
-        imbalance[split:, so] -= 1
-        imbalance[split:, st] += 1
-        grown = np.empty((len(codes), d + 1))
-        grown[:split] = polys[kept]
-        grown[split:, 0] = 0.0
-        grown[split:, 1:] = polys[taken, :-1]
-        polys = grown
+        codes, aux, polys = pick(np.concatenate([kept, taken]))
+        # taking the edge adds c to its origin's C and b to its terminus's B
+        codes[split:] |= (1 << (so * bits + q + c)) | (1 << (st * bits + b))
+        aux[split:, 0] = grow[taken]
+        aux[split:, 1 + so] -= 1
+        aux[split:, 1 + st] += 1
+        polys[split:, 1:] = polys[split:, :-1]
+        polys[split:, 0] = 0.0
         if not completed and not closed:
             continue
         for s, offset in completed:
@@ -309,16 +297,25 @@ def _balanced_subset_variances(
                 least = np.minimum(least, ((mask << r) | (mask >> (q - r))) & letters)
             codes = codes ^ ((mask ^ least) << shift)
         for s in closed:
-            w = weights((codes >> (s * bits)) & vertex)
-            live = np.flatnonzero(w > 0)
-            codes = codes[live] & ~(vertex << (s * bits))
-            imbalance, need, polys = imbalance[live], need[live], polys[live] * w[live, None]
-        order = np.argsort(codes, kind="stable")
-        codes, imbalance, need, polys = codes[order], imbalance[order], need[order], polys[order]
-        first = starts(codes)
-        codes, imbalance = codes[first], imbalance[first]
-        need = np.minimum.reduceat(need, first)
-        polys = np.add.reduceat(polys, first, axis=0)
+            masks = ((codes >> (s * bits)) & vertex).tolist()
+            for x in set(masks).difference(weight):
+                B = [j for j in range(q) if x >> j & 1]
+                C = [j for j in range(q) if x >> (q + j) & 1]
+                weight[x] = _minor_weight(dft, C, B)
+            w = np.array([weight[x] for x in masks])
+            live = (w > 0).nonzero()[0]
+            if len(live) < len(w):
+                (codes, aux, polys), w = pick(live), w[live]
+            codes &= ~(vertex << (s * bits))
+            polys *= w[:, None]
+        codes, aux, polys = pick(codes.argsort(kind="stable"))
+        head = np.ones(len(codes), dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=head[1:])
+        first = head.nonzero()[0]
+        if len(first) < len(codes):
+            # merged states share their |B| - |C| columns, and keep the least need
+            codes, aux = codes[first], np.minimum.reduceat(aux, first, axis=0)
+            polys = np.add.reduceat(polys, first, axis=0)
     return polys[0]
 
 
@@ -350,18 +347,19 @@ def _sampled_coefficients(
     [0, k_max]: row i holds a_(ns[i]) at every draw.  Deterministic for a
     given seed.
 
-    The draws are k_max times the seed's stream (`_random`).  Each
-    chunk's U(k) is one broadcast and its polynomials one `_char_polys`
-    call; rows are reproducible for this chunk rule, not bit-identical
-    across chunk sizes.  U(k), the products and the polynomials live in
-    three buffers allocated once per call, not once per chunk.
+    The draws are k_max times the seed's stream (`_random`) past the E
+    numbers `build_instance` takes as edge lengths.  Each chunk's U(k) is
+    one broadcast and its polynomials one `_char_polys` call; rows are
+    reproducible for this chunk rule, not bit-identical across chunk sizes.
+    U(k), the products and the polynomials live in three buffers allocated
+    once per call, not once per chunk.
     """
     import numpy as np
 
     E = inst.graph.num_edges
     _check_sampling(samples, k_max)
     _check_sample_size(samples, E)
-    ks = k_max * _random(seed, samples)
+    ks = k_max * _random(seed, E + samples)[E:]
     chunk = min(samples, max(1, _SAMPLE_CHUNK_BYTES // (16 * E * E)))
     sigma = inst.sigma[:, :, None]
     U, work = np.empty(E * E * chunk, dtype=complex), np.empty(E * E * chunk, dtype=complex)

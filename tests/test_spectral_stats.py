@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,29 +116,51 @@ def test_monte_carlo_argument_validation():
 
 
 def test_monte_carlo_pinned_at_one_seed():
-    # recorded from the stacked Hessenberg sampler at its 256 KiB chunk rule
-    # (x86-64, numpy 2.4 with OpenBLAS); another SIMD width or chunk rule may
-    # differ in the last bits
+    # recorded from the stacked Hessenberg sampler at its 256 KiB chunk rule, the
+    # wavenumbers drawn past the E edge lengths (x86-64, numpy 2.4 with OpenBLAS);
+    # another SIMD width or chunk rule may differ in the last bits
     inst = build_instance(2, 1, seed=3)
     assert monte_carlo_variance(inst, 2, samples=50, k_max=1e4, seed=11) == (
-        0.5227517762618323,
-        0.05020798691438887,
+        0.48484691565589644,
+        0.049625705464109604,
     )
     means, ses = monte_carlo_coefficient_means(inst, samples=50, k_max=1e4, seed=11)
     assert means.tolist() == [
         1 + 0j,
-        0.0813724193431261 + 0.02081464588735198j,
-        -0.022824948510510815 - 0.042811355506092816j,
-        0.03767189567962347 - 0.04931091055533339j,
-        0.20638544863959626 + 0.0478732834661495j,
+        0.033132389837096134 + 0.015446489603068927j,
+        0.020496981133338525 - 0.055592018225608365j,
+        0.01610267999057104 - 0.025025819825023027j,
+        0.20752604004879147 + 0.02810969345857651j,
     ]
     assert ses.tolist() == [
         0.0,
-        0.13304827582461853,
-        0.1020194085286771,
-        0.13328887181490168,
-        0.13821093989406197,
+        0.13255907440158415,
+        0.09811588219344711,
+        0.13259307460397896,
+        0.1382854141140945,
     ]
+
+
+def test_sampled_wavenumbers_are_not_the_edge_lengths(monkeypatch):
+    # one seed draws the edge lengths and then the wavenumbers: none of the
+    # wavenumbers may repeat a length draw as k_max * (l_e - 1)
+    q, m, seed, k_max = 2, 3, 5, 1e4
+    inst = build_instance(q, m, seed)
+    rows = np.arange(inst.graph.num_edges)
+    cols = np.abs(inst.sigma).argmax(axis=1)  # a nonzero entry of each row of Sigma
+    phases, char_polys = [], spectral_stats._char_polys
+
+    def spy(H, work, out):
+        phases.append(H[rows, cols, :] / inst.sigma[rows, cols, None])
+        return char_polys(H, work, out)
+
+    monkeypatch.setattr(spectral_stats, "_char_polys", spy)
+    variance_report(q, m, 4, seed, samples=200, k_max=k_max)
+    sampled = np.concatenate(phases, axis=1)
+    assert sampled.shape == (len(rows), 200)
+    echoes = np.exp(1j * np.multiply.outer(inst.lengths, k_max * (inst.lengths - 1)))
+    gaps = np.abs(sampled[:, :, None] - echoes[:, None, :]).max(axis=0)
+    assert gaps.min() > 1e-3
 
 
 @pytest.mark.parametrize("q,m,samples", [(2, 3, 200), (2, 5, 12), (4, 2, 12)])
@@ -283,6 +306,113 @@ def test_balanced_subset_dp_equals_pseudo_orbit_grouping(q, m, n_max):
     dp = _balanced_subset_variances(q, m, n_max, **FULL_DP)
     for n in range(n_max + 1):
         assert dp[n] == pytest.approx(_grouped_variance(q, m, n), abs=1e-12)
+
+
+# float.hex of _exact_variance(q, m, n) for n = 0..E/2, recorded before the DP's
+# step loop was rewritten, and the route of each n: c the closed form, d the DP,
+# g the grouping once the DP gave up
+EXACT_PINS = {
+    (2, 1): (
+        "ccc",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1"],
+    ),
+    (2, 2): (
+        "ccccg",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+         "0x1.0000000000000p-1", "0x1.7fffffffffffcp-1"],
+    ),
+    (2, 3): (
+        "cccccgggd",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+         "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.7fffffffffffcp-1",
+         "0x1.7fffffffffffcp-1", "0x1.3fffffffffffbp-1", "0x1.1fffffffffff8p-1"],
+    ),
+    (2, 4): (
+        "ccccccggggddddddd",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+         "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+         "0x1.1fffffffffffdp-1", "0x1.ffffffffffffap-2", "0x1.dfffffffffffap-2",
+         "0x1.ffffffffffffcp-2", "0x1.27ffffffffff4p-1", "0x1.37ffffffffff2p-1",
+         "0x1.1bffffffffff3p-1", "0x1.0bffffffffff2p-1", "0x1.13ffffffffff2p-1",
+         "0x1.0fffffffffff0p-1", "0x1.21fffffffffeep-1"],
+    ),
+    (3, 1): (
+        "cccgg",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.5555555555555p-1",
+         "0x1.c71c71c71c724p-1", "0x1.c71c71c71c727p-1"],
+    ),
+    (3, 2): (
+        "ccccgggddddddd",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.5555555555555p-1",
+         "0x1.5555555555555p-1", "0x1.7b425ed097b4dp-1", "0x1.61f9add3c0ca1p-1",
+         "0x1.641511e8d2b18p-1", "0x1.8a021b641512cp-1", "0x1.7bf62ad79dad5p-1",
+         "0x1.6c82a23d1a576p-1", "0x1.70f5591440268p-1", "0x1.6e9e06522c407p-1",
+         "0x1.6d4a687dcba48p-1", "0x1.7f8d213466dbdp-1"],
+    ),
+    (4, 1): (
+        "cccgggddd",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.8000000000000p-1",
+         "0x1.4000000000000p-1", "0x1.5000000000000p-1", "0x1.9000000000000p-1",
+         "0x1.7800000000000p-1", "0x1.6800000000000p-1", "0x1.6a00000000000p-1"],
+    ),
+    (5, 1): (
+        "cccggggdddddd",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.999999999999ap-1",
+         "0x1.66f87ce35c633p-1", "0x1.65096adb95c85p-1", "0x1.6fa4072a0fd14p-1",
+         "0x1.7508b5135fb35p-1", "0x1.835b379ba38adp-1", "0x1.7eea44d2b9714p-1",
+         "0x1.774ca50e971dcp-1", "0x1.74e5d41f97865p-1", "0x1.7b897193ebbbcp-1",
+         "0x1.7ab18182a14fep-1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("q,m", list(EXACT_PINS))
+def test_exact_variance_bit_for_bit(q, m, monkeypatch):
+    seen = []
+
+    def spy(route, route_fn):
+        def call(*args):
+            value = route_fn(*args)
+            if value is not None:
+                seen.append(route)
+            return value
+
+        return call
+
+    for name, route in [("_balanced_subset_variances", "d"), ("_grouped_variance", "g")]:
+        monkeypatch.setattr(spectral_stats, name, spy(route, getattr(spectral_stats, name)))
+    routes, values = EXACT_PINS[q, m]
+    for n, (route, value) in enumerate(zip(routes, values)):
+        seen.clear()
+        assert _exact_variance(q, m, n).hex() == value
+        assert "".join(seen) == ("" if route == "c" else route)
+    # past the pseudo-orbit budget the DP alone answers, or the call is refused
+    if (q, m) == (2, 4):
+        assert _exact_variance(2, 5, 32).hex() == "0x1.2101fffffffdcp-1"
+
+
+@pytest.mark.parametrize(
+    "q,m,n,states,count",
+    [(2, 20, 60, 0, "1*2^59"), (2, 9, 40, 2381, "1*2^39"), (4, 3, 60, 6403, "3*4^59"),
+     (10, 1, 40, 24390, "9*10^39")],
+)
+def test_exact_variance_refusals_pinned(q, m, n, states, count):
+    with pytest.raises(BudgetExceededError) as refusal:
+        _exact_variance(q, m, n)
+    assert str(refusal.value) == (f"balanced-set DP exceeds {states} live states, and {count} "
+                                  f"pseudo orbits of length {n} exceed budget 100000000")
+
+
+def test_weight_memo_stays_small_at_large_q():
+    # q=12 codes are Python ints, and a table over all 4^12 masks would take 128 MB
+    tracemalloc.start()
+    try:
+        dp = _balanced_subset_variances(12, 1, 3, **FULL_DP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert dp[3] == pytest.approx(_grouped_variance(12, 1, 3), abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
