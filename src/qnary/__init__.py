@@ -4,7 +4,6 @@ q-nary quantum graphs."""
 from .words import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
-    LyndonFactorization,
     Word,
     count_lyndon,
     count_strictly_decreasing,
@@ -50,7 +49,6 @@ __all__ = [
     "BudgetExceededError",
     "CharPolyCoefficients",
     "DEFAULT_ENUMERATION_BUDGET",
-    "LyndonFactorization",
     "QNaryGraph",
     "SpectralInstance",
     "Word",

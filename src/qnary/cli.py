@@ -149,7 +149,8 @@ def _cmd_factorize(args) -> int:
     word = Word.from_string(args.word, args.q)
     factorization = duval_factorize(word)
     strict = is_strictly_decreasing(factorization)
-    factors = [str(f) for f in factorization.factors]
+    factors = [str(f) for f in factorization]
+    shown = "".join(f"({f})" for f in factors)
     if args.format == "json":
         _emit_json(
             {
@@ -162,10 +163,10 @@ def _cmd_factorize(args) -> int:
     elif args.format == "csv":
         _emit_csv(
             ["word", "q", "factors", "strictly_decreasing"],
-            [[str(word), args.q, str(factorization), str(strict).lower()]],
+            [[str(word), args.q, shown, str(strict).lower()]],
         )
     else:
-        _emit_lines([f"{factorization} strict={str(strict).lower()}"])
+        _emit_lines([f"{shown} strict={str(strict).lower()}"])
     return EXIT_OK
 
 

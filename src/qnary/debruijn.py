@@ -13,7 +13,7 @@ closed walks that are not repetitions of shorter ones, correspond
 one-to-one with Lyndon words.  A primitive pseudo orbit is a set of
 distinct primitive orbits; concatenating its words in strictly decreasing
 order puts these sets in bijection with the words whose standard
-decomposition has no repeated factor.
+decomposition has no repeated factor, the very tuple `duval_factorize` returns.
 
 Inside the package a pseudo orbit is a strictly decreasing tuple of
 indices into one table of Lyndon letter tuples, built once per enumeration;
@@ -32,6 +32,7 @@ from .words import (
     _power_exceeds,
     _strictly_decreasing_exceeds,
     is_lyndon,
+    is_strictly_decreasing,
 )
 
 
@@ -143,9 +144,8 @@ def edge_multiplicities(po: tuple[Word, ...], graph: QNaryGraph) -> tuple[int, .
         _check_orbit(word)
         if word.q != graph.q:
             raise ValueError("pseudo orbit and graph alphabet sizes differ")
-    for a, b in zip(po, po[1:]):
-        if not a.letters > b.letters:
-            raise ValueError("orbits must be distinct and strictly decreasing")
+    if not is_strictly_decreasing(po):
+        raise ValueError("orbits must be distinct and strictly decreasing")
     counts = [0] * graph.num_edges
     for word in po:
         for e in _windows(word.letters, graph.q, graph.m + 1):

@@ -5,8 +5,8 @@ first differing letter decides, and a proper prefix sorts before any of its
 extensions (so "0" < "001" < "01").  A Lyndon word is strictly smaller than
 every nontrivial rotation of itself.  Every non-empty word factors uniquely
 into a non-increasing concatenation of Lyndon words, its standard
-decomposition; the decomposition is *strictly decreasing* when no factor
-repeats.
+decomposition (a tuple of Lyndon `Word`s); the decomposition is *strictly
+decreasing* when no factor repeats, and is then a primitive pseudo orbit.
 
 All counting functions use exact integer arithmetic.
 """
@@ -176,44 +176,16 @@ def is_lyndon(w: Word) -> bool:
     return len(_duval(w.letters)) == 1
 
 
-class LyndonFactorization(_Frozen):
-    """A standard decomposition: non-increasing Lyndon factors."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[Word, ...]):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("a factorization needs at least one factor")
-        q = factors[0].q
-        for f in factors:
-            if f.q != q:
-                raise ValueError("all factors must share one alphabet size")
-            if not is_lyndon(f):
-                raise ValueError(f"factor {f} is not a Lyndon word")
-        for a, b in zip(factors, factors[1:]):
-            if a < b:
-                raise ValueError("factors must be non-increasing")
-        self._set(factors)
-
-    def concatenated(self) -> Word:
-        letters = tuple(a for f in self.factors for a in f.letters)
-        return Word(letters, self.factors[0].q)
-
-    def __str__(self):
-        return "".join(f"({f})" for f in self.factors)
-
-
-def duval_factorize(w: Word) -> LyndonFactorization:
+def duval_factorize(w: Word) -> tuple[Word, ...]:
     """The unique non-increasing Lyndon factorization of a non-empty word."""
     if len(w) == 0:
         raise ValueError("cannot factorize the empty word")
-    return LyndonFactorization(tuple(Word(t, w.q) for t in _duval(w.letters)))
+    return tuple(Word(t, w.q) for t in _duval(w.letters))
 
 
-def is_strictly_decreasing(f: LyndonFactorization) -> bool:
-    """True iff adjacent factors strictly decrease (no factor repeats)."""
-    return all(a > b for a, b in zip(f.factors, f.factors[1:]))
+def is_strictly_decreasing(words: tuple[Word, ...]) -> bool:
+    """True iff each word is smaller than the one before it."""
+    return all(b < a for a, b in zip(words, words[1:]))
 
 
 def _lyndon_tuples(q: int, max_len: int):
@@ -352,6 +324,8 @@ def count_strictly_decreasing_bruteforce(
         raise ValueError(f"word length must be non-negative, got {n}")
     if _power_exceeds(q, n, budget):
         raise BudgetExceededError(f"enumerating {q}^{n} words exceeds budget {budget}")
+    if n > budget:  # binds only at q = 1, where one word holds all n letters
+        raise BudgetExceededError(f"a word of {n} letters exceeds budget {budget}")
     return sum(map(_no_repeated_factor, itertools.product(range(q), repeat=n)))
 
 

@@ -178,6 +178,31 @@ def test_factorize_json(capsys):
     assert record["strictly_decreasing"] is True
 
 
+_FACTORIZE_Q12 = {
+    ("3,11,0,11", "plain"): "(3,11)(0,11) strict=true\n",
+    ("3,11,0,11", "csv"): (
+        'word,q,factors,strictly_decreasing\n"3,11,0,11",12,"(3,11)(0,11)",true\n'
+    ),
+    ("3,11,0,11", "json"): (
+        '{\n  "word": "3,11,0,11",\n  "q": 12,\n  "factors": [\n    "3,11",\n'
+        '    "0,11"\n  ],\n  "strictly_decreasing": true\n}\n'
+    ),
+    ("11,11,3", "plain"): "(11)(11)(3) strict=false\n",
+    ("11,11,3", "csv"): "word,q,factors,strictly_decreasing\n\"11,11,3\",12,(11)(11)(3),false\n",
+    ("11,11,3", "json"): (
+        '{\n  "word": "11,11,3",\n  "q": 12,\n  "factors": [\n    "11",\n    "11",\n'
+        '    "3"\n  ],\n  "strictly_decreasing": false\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("word,fmt", list(_FACTORIZE_Q12))
+def test_factorize_above_ten_letters_in_every_format(capsys, word, fmt):
+    # above q = 10 a word and each factor print as comma-separated letters
+    code, out, err = run(capsys, "factorize", word, "--q", "12", "--format", fmt)
+    assert (code, out, err) == (0, _FACTORIZE_Q12[word, fmt], "")
+
+
 # --- count ----------------------------------------------------------------------------
 
 
@@ -399,6 +424,8 @@ def test_coeffs_refuses_before_building_the_instance(capsys, monkeypatch, method
         ["orbits", "--q", "2", "--m", "1", "--n", "20000", "--budget", "1000"],
         ["count", "--q", "2", "--n", "20000", "--mode", "bruteforce"],
         ["coeffs", "--q", "2", "--m", "15000", "--k", "1"],
+        # one word, but of 10^9 letters
+        ["count", "--q", "1", "--n", "1000000000", "--mode", "bruteforce"],
     ],
 )
 def test_budget_refusal_of_a_huge_count_exits_3(argv):

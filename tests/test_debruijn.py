@@ -216,12 +216,13 @@ def test_pseudo_orbit_emission_order_is_concatenation_order():
             assert [tuple(words[i] for i in item) for item in items] == expected
 
 
-def test_pseudo_orbit_bijection_roundtrip():
-    # concatenating the strictly decreasing words and refactorizing recovers them
-    for n in range(1, 11):
-        for po in primitive_pseudo_orbits(2, n):
-            refactored = duval_factorize(concatenated(po))
-            assert refactored.factors == po
+@pytest.mark.parametrize("q,max_n", [(2, 10), (3, 6), (12, 3)])
+def test_pseudo_orbit_bijection_roundtrip(q, max_n):
+    # concatenating the strictly decreasing words and refactorizing recovers
+    # them: both sides of the bijection are one value
+    for n in range(1, max_n + 1):
+        for po in primitive_pseudo_orbits(q, n):
+            assert duval_factorize(concatenated(po, q)) == po
 
 
 def test_pseudo_orbit_validation():

@@ -21,7 +21,6 @@ from qnary.words import (
     _lyndon_tuples,
     _no_repeated_factor,
     _strictly_decreasing_exceeds,
-    LyndonFactorization,
     Word,
     count_lyndon,
     count_strictly_decreasing,
@@ -162,14 +161,14 @@ def test_is_lyndon_matches_rotation_definition(q, max_len):
 
 
 def test_duval_examples():
-    assert str(duval_factorize(w("101"))) == "(1)(01)"
-    assert str(duval_factorize(w("110"))) == "(1)(1)(0)"
+    assert [str(f) for f in duval_factorize(w("101"))] == ["1", "01"]
+    assert [str(f) for f in duval_factorize(w("110"))] == ["1", "1", "0"]
 
 
 def test_duval_latin_alphabet():
     # LYNDON over a-z as 0..25 splits as (LYN)(DON)
     letters = tuple(ord(c) - ord("A") for c in "LYNDON")
-    factors = duval_factorize(Word(letters, 26)).factors
+    factors = duval_factorize(Word(letters, 26))
     assert [f.letters for f in factors] == [
         tuple(ord(c) - ord("A") for c in "LYN"),
         tuple(ord(c) - ord("A") for c in "DON"),
@@ -182,11 +181,11 @@ def test_duval_rejects_empty():
 
 
 def _check_roundtrip(word):
-    factorization = duval_factorize(word)
-    assert factorization.concatenated() == word
-    for f in factorization.factors:
+    factors = duval_factorize(word)
+    assert Word(tuple(a for f in factors for a in f.letters), word.q) == word
+    for f in factors:
         assert is_lyndon(f)
-    for a, b in zip(factorization.factors, factorization.factors[1:]):
+    for a, b in zip(factors, factors[1:]):
         assert a >= b
 
 
@@ -209,20 +208,15 @@ def test_factorization_unique_among_all_cuts():
         for t in itertools.product(range(2), repeat=l):
             cuts = nonincreasing_cut_factorizations(t)
             assert len(cuts) == 1
-            assert cuts[0] == [f.letters for f in duval_factorize(Word(t, 2)).factors]
+            assert cuts[0] == [f.letters for f in duval_factorize(Word(t, 2))]
 
 
 def test_is_strictly_decreasing_examples():
-    assert is_strictly_decreasing(LyndonFactorization((w("1"), w("01"))))
-    assert not is_strictly_decreasing(LyndonFactorization((w("1"), w("1"), w("0"))))
-    assert is_strictly_decreasing(LyndonFactorization((w("0011"),)))
-
-
-def test_factorization_validates_factors():
-    with pytest.raises(ValueError):
-        LyndonFactorization((w("10"),))  # not Lyndon
-    with pytest.raises(ValueError):
-        LyndonFactorization((w("0"), w("1")))  # increasing
+    assert is_strictly_decreasing((w("1"), w("01")))
+    assert not is_strictly_decreasing((w("1"), w("1"), w("0")))
+    assert not is_strictly_decreasing((w("0"), w("1")))
+    assert is_strictly_decreasing((w("0011"),))
+    assert is_strictly_decreasing(())
 
 
 # --- Lyndon word enumeration and counting ------------------------------------
@@ -330,6 +324,10 @@ def test_bruteforce_budget_guard():
     assert count_strictly_decreasing_bruteforce(2, 3, budget=8) == 4
     with pytest.raises(BudgetExceededError):
         count_strictly_decreasing_bruteforce(2, 3, budget=7)
+    # at q = 1 there is one word, but it holds all n letters
+    assert count_strictly_decreasing_bruteforce(1, 8, budget=8) == 0
+    with pytest.raises(BudgetExceededError, match="9 letters exceeds budget 8"):
+        count_strictly_decreasing_bruteforce(1, 9, budget=8)
 
 
 @pytest.mark.parametrize("q,max_n", [(2, 12), (3, 8), (4, 6)])
@@ -431,7 +429,6 @@ def test_value_types_are_immutable_values_that_pickle():
 
     values = [
         w("0110"),
-        duval_factorize(w("0110")),
         qnary.build_graph(2, 3),
     ]
     for value in values:
