@@ -15,8 +15,7 @@ and as finite sums over primitive pseudo orbits,
 
 where an orbit's amplitude is the cyclic product of Sigma entries along its
 edge sequence and its metric length the sum of traversed edge lengths.
-Amplitudes are read from the DFT by the orbit's letters; they are the
-instance's own when its `sigma` is `assemble_sigma(graph)`, as built.
+Amplitudes are read from the DFT by the orbit's letters.
 
 The direct route costs O(E^3) per matrix and takes a stack of matrices with
 the sample axis last, so the Monte-Carlo sampler in `spectral_stats` reduces
@@ -102,23 +101,22 @@ def sample_edge_lengths(graph: QNaryGraph, seed: int) -> np.ndarray:
 
 
 class SpectralInstance(_Frozen):
-    """A quantized graph: its topology, the read-only arrays Sigma (E x E)
-    and edge lengths (E), and the seed that drew the lengths.  Instances
-    compare by identity."""
+    """A quantized graph: its topology, the read-only array of its E edge
+    lengths, and the seed that drew them.  Sigma is
+    `assemble_sigma(graph)`.  Instances compare by identity."""
 
-    __slots__ = ("graph", "sigma", "lengths", "seed")
+    __slots__ = ("graph", "lengths", "seed")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, graph: QNaryGraph, sigma: np.ndarray, lengths: np.ndarray, seed: int):
-        self._set(graph, sigma, lengths, seed)
+    def __init__(self, graph: QNaryGraph, lengths: np.ndarray, seed: int):
+        self._set(graph, lengths, seed)
 
 
 def build_instance(q: int, m: int, seed: int) -> SpectralInstance:
-    """Convenience constructor: graph, Sigma, and seeded edge lengths."""
+    """Convenience constructor: the graph and its seeded edge lengths."""
     graph = build_graph(q, m)
-    lengths = sample_edge_lengths(graph, seed)
-    return SpectralInstance(graph, assemble_sigma(graph), lengths, int(seed))
+    return SpectralInstance(graph, sample_edge_lengths(graph, seed), int(seed))
 
 
 def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
@@ -128,7 +126,7 @@ def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
 
     k = _check_phase(k, 1)
     phases = np.exp(1j * k * inst.lengths)
-    return phases[:, None] * inst.sigma
+    return phases[:, None] * assemble_sigma(inst.graph)
 
 
 def _check_phase(k: float, n: int, name: str = "wavenumber") -> float:
@@ -166,9 +164,8 @@ class CharPolyCoefficients(_Frozen):
 
 def char_poly_direct(U: np.ndarray) -> CharPolyCoefficients:
     """Characteristic polynomial coefficients of one square matrix, by the
-    Hessenberg reduction and La Budde's recurrence of `_char_polys`.
-
-    The leading coefficient is pinned to its known value 1.
+    Hessenberg reduction and La Budde's recurrence of `_char_polys`; the
+    leading coefficient comes out exactly 1.
     """
     import numpy as np
 
@@ -181,7 +178,6 @@ def char_poly_direct(U: np.ndarray) -> CharPolyCoefficients:
     _check_dimension(N)
     work, p = np.empty(N * N, dtype=complex), np.empty((N + 1, N + 1, 1), dtype=complex)
     a = _char_polys(U[:, :, None].copy(), work, p)[0]
-    a[0] = 1.0
     a.setflags(write=False)
     return CharPolyCoefficients(a)
 

@@ -26,7 +26,8 @@ distinct orbits share no edge, so it is the diagonal value.  Beyond that, a
 transfer DP over the balanced edge sets runs while its work stays within the
 number of pseudo orbits of length d and its live states within the default
 enumeration budget over E(d+1).  Past either cap the pseudo orbits of length
-d are grouped, unless they exceed the budget too: then BudgetExceededError.
+d are grouped by their d edges each, unless those edges exceed the budget in
+all: then BudgetExceededError.
 Each DP state carries a degree floor, `need`, that prunes the sets which can
 no longer balance within d edges, and each vertex weight comes from a
 pure-Python elimination on its <= q x q DFT minor, so no exact value depends
@@ -55,6 +56,7 @@ from .quantum import (
     _check_phase,
     _pseudo_orbit_terms,
     _random,
+    assemble_sigma,
     build_instance,
     dft_matrix,
 )
@@ -89,8 +91,8 @@ def _exact_variance(q: int, m: int, n: int) -> float:
         # orbits share no edge: each group is one pseudo orbit, with |A|^2 = q^(-d)
         return diagonal_variance(q, d)
     budget = DEFAULT_ENUMERATION_BUDGET
-    over = _strictly_decreasing_exceeds(q, d, budget)
-    # the DP's work stays within E * max_states <= budget: past it only the state cap binds
+    over = _strictly_decreasing_exceeds(q, d, budget // d)  # the grouping's d edges each
+    # the DP's work is at most E * max_states < budget / d: past it only the state cap binds
     max_states = budget // (E * (d + 1))
     max_work = budget if over else count_strictly_decreasing(q, d)
     variances = _balanced_subset_variances(q, m, d, max_work, max_states)
@@ -98,7 +100,8 @@ def _exact_variance(q: int, m: int, n: int) -> float:
         return float(variances[d])
     if over:
         raise BudgetExceededError(f"balanced-set DP exceeds {max_states} live states, and "
-                                  f"{over} pseudo orbits of length {d} exceed budget {budget}")
+                                  f"{over} pseudo orbits of length {d}, {d} edges each, "
+                                  f"exceed budget {budget}")
     return _grouped_variance(q, m, d)
 
 
@@ -361,7 +364,7 @@ def _sampled_coefficients(
     _check_sample_size(samples, E)
     ks = k_max * _random(seed, E + samples)[E:]
     chunk = min(samples, max(1, _SAMPLE_CHUNK_BYTES // (16 * E * E)))
-    sigma = inst.sigma[:, :, None]
+    sigma = assemble_sigma(inst.graph)[:, :, None]
     U, work = np.empty(E * E * chunk, dtype=complex), np.empty(E * E * chunk, dtype=complex)
     p = np.empty((E + 1) ** 2 * chunk, dtype=complex)
     out = np.empty((len(ns), samples), dtype=complex)

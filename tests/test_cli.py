@@ -759,11 +759,23 @@ def test_combinatorial_commands_run_without_numpy():
     assert code == 0 and "numpy" in loaded
 
 
-def test_variance_refused_at_a_zero_state_cap_never_loads_numpy():
-    # E = 2^21, d = 60: the DP's state cap 10^8 // (E(d+1)) is 0 and the 2^59
-    # pseudo orbits are over budget, so the refusal needs no array
-    argv = ["variance", "--q", "2", "--m", "20", "--n", "60", "--samples", "0"]
-    proc = run_fresh("-c", NUMPY_PROBE, json.dumps([argv]))
+@pytest.mark.parametrize(
+    "m,n",
+    [
+        (20, 60),  # E = 2^21, d = 60: the 2^59 pseudo orbits are over budget
+        (22, 24),  # E = 2^23, d = 24: 2^23 pseudo orbits, but 24 * 2^23 edges are over budget
+    ],
+)
+def test_variance_refused_at_a_zero_state_cap_never_loads_numpy(m, n):
+    # the DP's state cap 10^8 // (E(d+1)) is 0 and the grouping is over
+    # budget, so the refusal needs no array; a grouping that ran anyway would
+    # need gigabytes, so the child gets 1 GiB of address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    argv = ["variance", "--q", "2", "--m", str(m), "--n", str(n), "--samples", "0"]
+    proc = run_fresh("-c", NUMPY_PROBE, json.dumps([argv]), timeout=20,
+                     preexec_fn=limit_memory)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"] == [[3, []]]
 

@@ -182,7 +182,7 @@ def test_stream_refuses_what_seed_sequence_refuses():
 
 def test_evolution_operator_at_zero_is_sigma():
     inst = build_instance(2, 2, seed=1)
-    assert np.array_equal(evolution_operator(inst, 0.0), inst.sigma)
+    assert np.array_equal(evolution_operator(inst, 0.0), assemble_sigma(inst.graph))
 
 
 def test_evolution_operator_unitary():
@@ -193,12 +193,12 @@ def test_evolution_operator_unitary():
 def test_evolution_operator_entrywise():
     inst = build_instance(2, 2, seed=3)
     k = 2.31
-    U = evolution_operator(inst, k)
+    U, sigma = evolution_operator(inst, k), assemble_sigma(inst.graph)
     rng = np.random.default_rng(0)
     for _ in range(20):
         e = rng.integers(0, 8)
         e2 = rng.integers(0, 8)
-        expected = np.exp(1j * k * inst.lengths[e]) * inst.sigma[e, e2]
+        expected = np.exp(1j * k * inst.lengths[e]) * sigma[e, e2]
         assert U[e, e2] == pytest.approx(expected, abs=1e-15)
 
 
@@ -293,6 +293,12 @@ def test_char_poly_of_a_stack_matches_one_matrix_at_a_time():
     for s in range(6):
         assert np.max(np.abs(rows[s] - char_poly_direct(stack[:, :, s]).a)) < 1e-13
     assert rows[:, 0].tolist() == [1.0] * 6
+    # p[0, 0] = 1 is copied up the diagonal, so every leading coefficient is exactly 1+0j
+    rng = np.random.default_rng(7)
+    for N in (1, 2, 8, 16, 64):
+        stack = rng.standard_normal((N, N, 3)) + 1j * rng.standard_normal((N, N, 3))
+        assert char_polys(stack)[:, 0].tolist() == [1 + 0j] * 3
+        assert char_poly_direct(stack[:, :, 0]).a[0] == 1 + 0j
 
 
 def test_char_poly_transient_memory_is_bounded():
@@ -337,7 +343,7 @@ def test_orbit_amplitude_loop():
     amp = orbit_amplitude(w("0"), inst)
     assert amp == pytest.approx(INV_SQRT2)
     # single-factor product: equals the matching Sigma entry
-    assert amp == inst.sigma[0, 0]
+    assert amp == assemble_sigma(inst.graph)[0, 0]
 
 
 def test_orbit_amplitude_rejects_what_is_not_an_orbit():
@@ -435,7 +441,7 @@ def test_coeff_n0_is_one():
 
 def test_coeff_n1_two_loops():
     inst = build_instance(2, 2, seed=4)
-    s, ell = inst.sigma, inst.lengths
+    s, ell = assemble_sigma(inst.graph), inst.lengths
     k = 5.1
     e00, e11 = int("000", 2), int("111", 2)
     expected = -(
@@ -466,7 +472,7 @@ def test_expansion_matches_determinant(q, m):
 def test_expansion_at_k_zero_matches_sigma():
     inst = build_instance(2, 2, seed=8)
     E = inst.graph.num_edges
-    direct = char_poly_direct(inst.sigma).a
+    direct = char_poly_direct(assemble_sigma(inst.graph)).a
     expanded = np.array([coeff_from_pseudo_orbits(n, inst, 0.0) for n in range(E + 1)])
     assert np.max(np.abs(direct - expanded)) < 1e-9
 

@@ -9,7 +9,14 @@ import pytest
 
 from qnary import quantum, spectral_stats
 from qnary.debruijn import _windows, edge_multiplicities, primitive_pseudo_orbits
-from qnary.quantum import build_instance, dft_matrix, expansion_terms
+from qnary.quantum import (
+    assemble_sigma,
+    build_instance,
+    coeff_from_pseudo_orbits,
+    dft_matrix,
+    expansion_terms,
+    orbit_amplitude,
+)
 from qnary.spectral_stats import (
     _balanced_subset_variances,
     _exact_variance,
@@ -25,7 +32,7 @@ from qnary.spectral_stats import (
     rmt_reference,
     variance_report,
 )
-from qnary.words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, lyndon_words
+from qnary.words import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, Word, lyndon_words
 
 
 def test_diagonal_variance_closed_form():
@@ -146,12 +153,13 @@ def test_sampled_wavenumbers_are_not_the_edge_lengths(monkeypatch):
     # wavenumbers may repeat a length draw as k_max * (l_e - 1)
     q, m, seed, k_max = 2, 3, 5, 1e4
     inst = build_instance(q, m, seed)
+    sigma = assemble_sigma(inst.graph)
     rows = np.arange(inst.graph.num_edges)
-    cols = np.abs(inst.sigma).argmax(axis=1)  # a nonzero entry of each row of Sigma
+    cols = np.abs(sigma).argmax(axis=1)  # a nonzero entry of each row of Sigma
     phases, char_polys = [], spectral_stats._char_polys
 
     def spy(H, work, out):
-        phases.append(H[rows, cols, :] / inst.sigma[rows, cols, None])
+        phases.append(H[rows, cols, :] / sigma[rows, cols, None])
         return char_polys(H, work, out)
 
     monkeypatch.setattr(spectral_stats, "_char_polys", spy)
@@ -275,8 +283,16 @@ def test_exact_value_never_builds_sigma(monkeypatch):
     # on the grouping route: the DP gives up past the 16 pseudo orbits of length 5
     assert _balanced_subset_variances(2, 3, 5, max_work=16, max_states=10**8) is None
     expected = _balanced_subset_variances(2, 3, 5, **FULL_DP)[5]
-    monkeypatch.setattr(spectral_stats, "build_instance", refuse)
+    amplitude = orbit_amplitude(Word((0, 1), 2), build_instance(2, 3, seed=0))
     monkeypatch.setattr(quantum, "assemble_sigma", refuse)
+    monkeypatch.setattr(spectral_stats, "assemble_sigma", refuse)
+    # an instance holds what its seed drew; the orbit routes read the DFT
+    inst = build_instance(2, 3, seed=0)
+    assert expansion_terms(inst, 5)[0].shape == (16,)
+    assert coeff_from_pseudo_orbits(5, inst, 2.5) != 0
+    assert orbit_amplitude(Word((0, 1), 2), inst) == amplitude
+    assert exact_grouped_variance(inst, 5) == pytest.approx(expected, abs=1e-12)
+    monkeypatch.setattr(spectral_stats, "build_instance", refuse)
     record = variance_report(2, 3, 5, seed=0)
     assert record["exact_grouped"] == pytest.approx(expected, abs=1e-12)
 
@@ -400,7 +416,25 @@ def test_exact_variance_refusals_pinned(q, m, n, states, count):
     with pytest.raises(BudgetExceededError) as refusal:
         _exact_variance(q, m, n)
     assert str(refusal.value) == (f"balanced-set DP exceeds {states} live states, and {count} "
-                                  f"pseudo orbits of length {n} exceed budget 100000000")
+                                  f"pseudo orbits of length {n}, {n} edges each, "
+                                  "exceed budget 100000000")
+
+
+@pytest.mark.parametrize("m,admitted", [(21, True), (22, False)])
+def test_grouping_budget_counts_edges(m, admitted, monkeypatch):
+    # at q=2, d = m+2 the DP's state cap is 0; the grouping would key 2^(m+1)
+    # pseudo orbits by m+2 edges each: 96,468,992 edges at m=21, 201,326,592 at m=22
+    def stub(q, m, n):
+        return 0.5
+
+    monkeypatch.setattr(spectral_stats, "_grouped_variance", stub)
+    if admitted:
+        assert _exact_variance(2, m, m + 2) == 0.5
+        return
+    with pytest.raises(BudgetExceededError) as refusal:
+        _exact_variance(2, m, m + 2)
+    assert str(refusal.value) == ("balanced-set DP exceeds 0 live states, and 1*2^23 pseudo "
+                                  "orbits of length 24, 24 edges each, exceed budget 100000000")
 
 
 def test_weight_memo_stays_small_at_large_q():
@@ -544,7 +578,8 @@ def _random_balanced_set(q, m, rng):
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_balanced_minor_factors_over_vertices(q, m):
     inst = build_instance(q, m, seed=4)
-    graph, sigma, F = inst.graph, inst.sigma, dft_matrix(q)
+    graph, F = inst.graph, dft_matrix(q)
+    sigma = assemble_sigma(graph)
     rng = np.random.default_rng(1000 * q + m)
     for _ in range(20):
         S = _random_balanced_set(q, m, rng)
