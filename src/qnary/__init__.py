@@ -32,7 +32,6 @@ from .quantum import (
     evolution_operator,
     expansion_terms,
     orbit_amplitude,
-    sample_edge_lengths,
 )
 from .spectral_stats import (
     diagonal_variance,
@@ -76,7 +75,6 @@ __all__ = [
     "orbit_amplitude",
     "primitive_pseudo_orbits",
     "rmt_reference",
-    "sample_edge_lengths",
     "variance_report",
     "verify_lyndon_count_identity",
 ]

@@ -2,8 +2,9 @@
 
 Subcommands: `lyndon list`, `factorize`, `count`, `orbits`, `coeffs`,
 `variance`.  Exit codes: 0 success, 1 verification mismatch, 2 argument
-error, 3 budget exceeded.  Floats are printed with 12 significant digits so
-output is stable across platforms.
+error, 3 budget exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.
+Floats are printed with 12 significant digits so output is stable across
+platforms.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 from .debruijn import _braced, _pseudo_orbit_tuples, build_graph
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 COEFF_MATCH_TOL = 1e-9
 
@@ -382,7 +385,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a reader gone by the last write is caught
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed it (`qnary ... | head`): point the descriptor at
+        # devnull so the interpreter's exit flush stays quiet, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

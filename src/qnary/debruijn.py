@@ -56,12 +56,6 @@ class QNaryGraph(_Frozen):
     def num_edges(self) -> int:
         return self.q ** (self.m + 1)
 
-    def edge_origin(self, e: int) -> int:
-        return e // self.q
-
-    def edge_terminus(self, e: int) -> int:
-        return e % self.num_vertices
-
 
 def build_graph(q: int, m: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> QNaryGraph:
     """Construct the order-m q-nary graph, guarding the edge count."""

@@ -87,19 +87,6 @@ def _random(seed: int, size: int) -> np.ndarray:
     return np.fromiter(itertools.starmap(draw, itertools.repeat((), size)), float, size)
 
 
-def sample_edge_lengths(graph: QNaryGraph, seed: int) -> np.ndarray:
-    """Draw E i.i.d. lengths uniform on [1, 2) from the seed's stream
-    (`_random`), as a read-only array.
-
-    The same seed reproduces the same vector bit for bit.  Random draws are
-    rationally independent with probability 1, which is the premise of the
-    degeneracy-grouped wavenumber average.
-    """
-    lengths = 1.0 + _random(seed, graph.num_edges)
-    lengths.setflags(write=False)
-    return lengths
-
-
 class SpectralInstance(_Frozen):
     """A quantized graph: its topology, the read-only array of its E edge
     lengths, and the seed that drew them.  Sigma is
@@ -114,9 +101,17 @@ class SpectralInstance(_Frozen):
 
 
 def build_instance(q: int, m: int, seed: int) -> SpectralInstance:
-    """Convenience constructor: the graph and its seeded edge lengths."""
+    """The order-m q-nary graph with E i.i.d. edge lengths uniform on [1, 2),
+    drawn from the seed's stream (`_random`) into a read-only array.
+
+    The same seed reproduces the same lengths bit for bit.  Random draws are
+    rationally independent with probability 1, which is the premise of the
+    degeneracy-grouped wavenumber average.
+    """
     graph = build_graph(q, m)
-    return SpectralInstance(graph, sample_edge_lengths(graph, seed), int(seed))
+    lengths = 1.0 + _random(seed, graph.num_edges)
+    lengths.setflags(write=False)
+    return SpectralInstance(graph, lengths, int(seed))
 
 
 def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:

@@ -105,21 +105,22 @@ class Word(_Frozen):
     @classmethod
     def from_string(cls, text: str, q: int) -> Word:
         """Parse the display form: a digit string for q <= 10 ("0110"),
-        comma-separated letter indices otherwise ("3,11,0")."""
+        comma-separated letter indices otherwise ("3,11,0").  Each letter is
+        ASCII digits only."""
         if text == "":
             return cls((), q)
-        if "," in text or q > 10:
-            return cls(tuple(int(part) for part in text.split(",")), q)
-        return cls(tuple(int(ch) for ch in text), q)
+        fields = text.split(",") if "," in text or q > 10 else list(text)
+        for field in fields:
+            # int() also takes signs, spaces, "_" and other scripts' digits; keep its message
+            if not (field.isascii() and field.isdigit()):
+                raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+        return cls(tuple(map(int, fields)), q)
 
     def __str__(self):
         return _display(self.letters, self.q)
 
     def __len__(self):
         return len(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
 
     def __lt__(self, other: Word) -> bool:
         if not isinstance(other, Word):

@@ -26,14 +26,18 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def fresh_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_fresh(*argv, timeout=60, **kwargs):
     # a fresh interpreter, so neither a hang nor a memory blow-up can take the
     # suite with it, and sys.modules starts empty
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout,
-        **kwargs,
+        [sys.executable, *argv], env=fresh_env(), capture_output=True, text=True,
+        timeout=timeout, **kwargs,
     )
 
 
@@ -162,6 +166,16 @@ def test_factorize_letter_out_of_range(capsys):
     code, out, err = run(capsys, "factorize", "2", "--q", "2")
     assert code == 2
     assert "error" in err
+    # a letter is ASCII digits only: int() would take these, and the error names the field
+    for word, q, field in [
+        ("+1,0", "12", "+1"),
+        (" 1,0", "12", " 1"),
+        ("1_0,3", "12", "1_0"),
+        ("\u0661\u0660", "2", "\u0661"),  # Arabic-Indic 1, 0
+    ]:
+        code, out, err = run(capsys, "factorize", word, "--q", q)
+        assert (code, out) == (2, "")
+        assert f"error: invalid literal for int() with base 10: {field!r}" in err
 
 
 def test_factorize_csv(capsys):
@@ -737,6 +751,30 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"loaded": loaded, "after_import": after_import,
                   "after_cli_import": after_cli_import, "results": results}))
 """
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lyndon", "list", "--q", "2", "--l", "22"],
+        ["orbits", "--q", "2", "--m", "1", "--n", "16", "--format", "csv"],
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # `qnary ... | head -1`: the reader goes away with far more than a pipe buffer unwritten
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qnary", *argv],
+        env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_combinatorial_commands_run_without_numpy():

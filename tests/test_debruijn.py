@@ -59,8 +59,8 @@ def test_graph_binary_order_3():
     assert g.num_vertices == 8
     assert g.num_edges == 16
     e = index("0001")
-    assert g.edge_origin(e) == index("000")
-    assert g.edge_terminus(e) == index("001")
+    assert e // g.q == index("000")
+    assert e % g.num_vertices == index("001")
 
 
 def test_graph_ternary_order_2():
@@ -68,8 +68,8 @@ def test_graph_ternary_order_2():
     assert g.num_vertices == 9
     assert g.num_edges == 27
     e = index("120", q=3)
-    assert g.edge_origin(e) == index("12", q=3)
-    assert g.edge_terminus(e) == index("20", q=3)
+    assert e // g.q == index("12", q=3)
+    assert e % g.num_vertices == index("20", q=3)
 
 
 def test_graph_binary_order_1():
@@ -94,8 +94,8 @@ def test_degrees_and_connectivity(q, m):
     out_edges = [[] for _ in range(g.num_vertices)]
     in_degree = [0] * g.num_vertices
     for e in range(g.num_edges):
-        out_edges[g.edge_origin(e)].append(e)
-        in_degree[g.edge_terminus(e)] += 1
+        out_edges[e // g.q].append(e)
+        in_degree[e % g.num_vertices] += 1
     # vertex v = a_1..a_m leaves by the edges a_1..a_m.c, indices vq..vq+q-1
     assert out_edges == [list(range(v * q, (v + 1) * q)) for v in range(g.num_vertices)]
     assert in_degree == [q] * g.num_vertices
@@ -104,7 +104,7 @@ def test_degrees_and_connectivity(q, m):
         frontier = {start}
         reached = {start}
         for _ in range(m):
-            frontier = {g.edge_terminus(e) for v in frontier for e in out_edges[v]}
+            frontier = {e % g.num_vertices for v in frontier for e in out_edges[v]}
             reached |= frontier
         assert reached == set(range(g.num_vertices))
 
@@ -116,7 +116,7 @@ def test_orbit_vertex_cycle_example():
     # the vertices visited are the origins of the walk's edges
     g = build_graph(2, 3)
     expected = [index(s) for s in ["000", "001", "010", "100"]]
-    assert [g.edge_origin(e) for e in walk(w("0001"), 3)] == expected
+    assert [e // g.q for e in walk(w("0001"), 3)] == expected
 
 
 def test_orbit_shorter_than_order_wraps():
@@ -156,7 +156,7 @@ def test_orbit_walks_are_closed_and_connected(q, max_l):
                 assert len(edges) == l
                 for i, e in enumerate(edges):
                     nxt = edges[(i + 1) % l]
-                    assert g.edge_terminus(e) == g.edge_origin(nxt)
+                    assert e % g.num_vertices == nxt // g.q
 
 
 # --- pseudo orbits ------------------------------------------------------------
@@ -263,14 +263,14 @@ def closed_edge_walks(g, length):
     walks = []
     out_edges = [[] for _ in range(g.num_vertices)]
     for e in range(g.num_edges):
-        out_edges[g.edge_origin(e)].append(e)
+        out_edges[e // g.q].append(e)
 
     def extend(path):
         if len(path) == length:
-            if g.edge_terminus(path[-1]) == g.edge_origin(path[0]):
+            if path[-1] % g.num_vertices == path[0] // g.q:
                 walks.append(tuple(path))
             return
-        v = g.edge_terminus(path[-1])
+        v = path[-1] % g.num_vertices
         for e in out_edges[v]:
             path.append(e)
             extend(path)

@@ -31,7 +31,6 @@ from qnary.quantum import (
     evolution_operator,
     expansion_terms,
     orbit_amplitude,
-    sample_edge_lengths,
 )
 from qnary.words import BudgetExceededError, Word, lyndon_words
 
@@ -115,7 +114,7 @@ def test_sigma_sparsity_pattern_and_moduli(q, m):
         nonzero = np.flatnonzero(np.abs(row) > 1e-15)
         assert len(nonzero) == q
         for e_in in nonzero:
-            assert g.edge_terminus(int(e_in)) == g.edge_origin(e_out)
+            assert int(e_in) % g.num_vertices == e_out // q  # terminus(e_in) = origin(e_out)
             assert abs(row[e_in]) == pytest.approx(1.0 / math.sqrt(q), abs=1e-12)
 
 
@@ -137,23 +136,20 @@ def test_sigma_equals_the_vertex_by_vertex_loop(q, m):
 
 
 def test_edge_lengths_golden_seed():
-    g = build_graph(2, 2)
-    lengths = sample_edge_lengths(g, seed=7)
+    inst = build_instance(2, 2, seed=7)
+    lengths = inst.lengths
     assert not lengths.flags.writeable
     assert lengths[:3] == pytest.approx(
         [1.3238327648331625, 1.150849173924502, 1.6509344730398539], abs=0.0
     )
-    # the instance keeps the seed beside the same lengths
-    inst = build_instance(2, 2, seed=7)
+    # the instance keeps the seed beside its lengths
     assert inst.seed == 7
-    assert np.array_equal(inst.lengths, lengths)
 
 
 def test_edge_lengths_range_and_determinism():
-    g = build_graph(3, 2)
-    a = sample_edge_lengths(g, seed=42)
-    b = sample_edge_lengths(g, seed=42)
-    c = sample_edge_lengths(g, seed=43)
+    a = build_instance(3, 2, seed=42).lengths
+    b = build_instance(3, 2, seed=42).lengths
+    c = build_instance(3, 2, seed=43).lengths
     assert np.all(a >= 1.0) and np.all(a < 2.0)
     assert np.array_equal(a, b)
     assert np.any(a != c)
