@@ -28,6 +28,11 @@ number of pseudo orbits of length d and its live states within the default
 enumeration budget over E(d+1).  Past either cap the pseudo orbits of length
 d are grouped by their d edges each, unless those edges exceed the budget in
 all: then BudgetExceededError.
+A graph whose D = E // 2 exceeds m + 1 and whose pseudo orbits of length D,
+D edges each, fit the budget is admitted to one DP per graph instead: run
+once at D under the caps above, it returns Var(a_0..a_D), which answers
+every n, and the last graph's values are kept.  Where it gives up, each d
+takes the route above, except that d = D goes straight to the grouping.
 Each DP state carries a degree floor, `need`, that prunes the sets which can
 no longer balance within d edges, and each vertex weight comes from a
 pure-Python elimination on its <= q x q DFT minor, so no exact value depends
@@ -45,6 +50,7 @@ importing the package does not load it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 from .debruijn import build_graph
@@ -90,6 +96,12 @@ def _exact_variance(q: int, m: int, n: int) -> float:
         # an orbit of length <= m+1 has a whole period in each of its edges, so distinct
         # orbits share no edge: each group is one pseudo orbit, with |A|^2 = q^(-d)
         return diagonal_variance(q, d)
+    if _sweep_admitted(q, m):
+        sweep = _exact_variances(q, m)
+        if sweep is not None:
+            return sweep[d]
+        if d == E // 2:
+            return _grouped_variance(q, m, d)  # the DP at E/2 gave up under these caps
     budget = DEFAULT_ENUMERATION_BUDGET
     over = _strictly_decreasing_exceeds(q, d, budget // d)  # the grouping's d edges each
     # the DP's work is at most E * max_states < budget / d: past it only the state cap binds
@@ -103,6 +115,30 @@ def _exact_variance(q: int, m: int, n: int) -> float:
                                   f"{over} pseudo orbits of length {d}, {d} edges each, "
                                   f"exceed budget {budget}")
     return _grouped_variance(q, m, d)
+
+
+def _sweep_admitted(q: int, m: int) -> bool:
+    """Whether the order-m graph's exact values come from one DP at
+    D = E // 2: D > m + 1, and the grouping of the Str(q, D) pseudo orbits of
+    length D, D edges each, fits the budget (then it does at every d <= D)."""
+    D = q ** (m + 1) // 2
+    return D > m + 1 and not _strictly_decreasing_exceeds(
+        q, D, DEFAULT_ENUMERATION_BUDGET // D
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_variances(q: int, m: int) -> tuple[float, ...] | None:
+    """Var(a_0..a_D), D = E // 2, of an admitted graph (`_sweep_admitted`)
+    from one balanced-set DP under the caps `_exact_variance` gives it at
+    d = D, or None where that DP gives up.  Var(a_n) = Var(a_(E-n)), so the
+    tuple answers every n; one graph's tuple is kept."""
+    E = q ** (m + 1)
+    D = E // 2
+    variances = _balanced_subset_variances(
+        q, m, D, count_strictly_decreasing(q, D), DEFAULT_ENUMERATION_BUDGET // (E * (D + 1))
+    )
+    return None if variances is None else tuple(variances.tolist())
 
 
 def _grouped_variance(q: int, m: int, n: int) -> float:

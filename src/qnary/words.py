@@ -106,7 +106,7 @@ class Word(_Frozen):
     def from_string(cls, text: str, q: int) -> Word:
         """Parse the display form: a digit string for q <= 10 ("0110"),
         comma-separated letter indices otherwise ("3,11,0").  Each letter is
-        ASCII digits only."""
+        ASCII digits only, with no leading zero."""
         if text == "":
             return cls((), q)
         fields = text.split(",") if "," in text or q > 10 else list(text)
@@ -114,6 +114,8 @@ class Word(_Frozen):
             # int() also takes signs, spaces, "_" and other scripts' digits; keep its message
             if not (field.isascii() and field.isdigit()):
                 raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+            if len(field) > 1 and field[0] == "0":  # "01" would echo as "1"
+                raise ValueError(f"letter {field!r} has a leading zero")
         return cls(tuple(map(int, fields)), q)
 
     def __str__(self):

@@ -176,6 +176,14 @@ def test_factorize_letter_out_of_range(capsys):
         code, out, err = run(capsys, "factorize", word, "--q", q)
         assert (code, out) == (2, "")
         assert f"error: invalid literal for int() with base 10: {field!r}" in err
+    # a comma field has no leading zero: "01,3" would echo as the word "1,3"
+    for word, q, field in [("01,3", "12", "01"), ("00,3", "12", "00"), ("1,011", "12", "011"),
+                           ("00,1", "2", "00")]:
+        code, out, err = run(capsys, "factorize", word, "--q", q, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert f"error: letter {field!r} has a leading zero" in err
+    for word, q in [("0,3", "12"), ("10,0", "12"), ("0011", "2")]:
+        assert run(capsys, "factorize", word, "--q", q)[0] == 0
 
 
 def test_factorize_csv(capsys):

@@ -280,21 +280,29 @@ def test_exact_value_never_builds_sigma(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Sigma assembled for the exact value")
 
-    # on the grouping route: the DP gives up past the 16 pseudo orbits of length 5
-    assert _balanced_subset_variances(2, 3, 5, max_work=16, max_states=10**8) is None
-    expected = _balanced_subset_variances(2, 3, 5, **FULL_DP)[5]
-    amplitude = orbit_amplitude(Word((0, 1), 2), build_instance(2, 3, seed=0))
+    # on the grouping route: the DP gives up past the 8 pseudo orbits of length 4
+    assert _balanced_subset_variances(2, 2, 4, max_work=8, max_states=10**8) is None
+    expected = _balanced_subset_variances(2, 2, 4, **FULL_DP)[4]
+    amplitude = orbit_amplitude(Word((0, 1), 2), build_instance(2, 2, seed=0))
+    grouped = []
+
+    def spy(q, m, n):
+        grouped.append(n)
+        return _grouped_variance(q, m, n)
+
+    monkeypatch.setattr(spectral_stats, "_grouped_variance", spy)
     monkeypatch.setattr(quantum, "assemble_sigma", refuse)
     monkeypatch.setattr(spectral_stats, "assemble_sigma", refuse)
     # an instance holds what its seed drew; the orbit routes read the DFT
-    inst = build_instance(2, 3, seed=0)
-    assert expansion_terms(inst, 5)[0].shape == (16,)
-    assert coeff_from_pseudo_orbits(5, inst, 2.5) != 0
+    inst = build_instance(2, 2, seed=0)
+    assert expansion_terms(inst, 4)[0].shape == (8,)
+    assert coeff_from_pseudo_orbits(4, inst, 2.5) != 0
     assert orbit_amplitude(Word((0, 1), 2), inst) == amplitude
-    assert exact_grouped_variance(inst, 5) == pytest.approx(expected, abs=1e-12)
+    assert exact_grouped_variance(inst, 4) == pytest.approx(expected, abs=1e-12)
     monkeypatch.setattr(spectral_stats, "build_instance", refuse)
-    record = variance_report(2, 3, 5, seed=0)
+    record = variance_report(2, 2, 4, seed=0)
     assert record["exact_grouped"] == pytest.approx(expected, abs=1e-12)
+    assert grouped == [4, 4]
 
 
 def test_variance_report_with_mc():
@@ -325,8 +333,9 @@ def test_balanced_subset_dp_equals_pseudo_orbit_grouping(q, m, n_max):
 
 
 # float.hex of _exact_variance(q, m, n) for n = 0..E/2, recorded before the DP's
-# step loop was rewritten, and the route of each n: c the closed form, d the DP,
-# g the grouping once the DP gave up
+# step loop was rewritten and, for (2, 3), (2, 4), (3, 2) and (4, 1), again once one
+# DP at E/2 answered their whole sweep; and the route of each n: c the closed form,
+# D the graph's DP at E/2, d the DP at d, g the grouping once the DP gave up
 EXACT_PINS = {
     (2, 1): (
         "ccc",
@@ -338,17 +347,17 @@ EXACT_PINS = {
          "0x1.0000000000000p-1", "0x1.7fffffffffffcp-1"],
     ),
     (2, 3): (
-        "cccccgggd",
+        "cccccDDDD",
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
-         "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.7fffffffffffcp-1",
-         "0x1.7fffffffffffcp-1", "0x1.3fffffffffffbp-1", "0x1.1fffffffffff8p-1"],
+         "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.7fffffffffff9p-1",
+         "0x1.7fffffffffff8p-1", "0x1.3fffffffffff8p-1", "0x1.1fffffffffff8p-1"],
     ),
     (2, 4): (
-        "ccccccggggddddddd",
+        "cccccc" + "D" * 11,
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
          "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
-         "0x1.1fffffffffffdp-1", "0x1.ffffffffffffap-2", "0x1.dfffffffffffap-2",
-         "0x1.ffffffffffffcp-2", "0x1.27ffffffffff4p-1", "0x1.37ffffffffff2p-1",
+         "0x1.1fffffffffff9p-1", "0x1.ffffffffffff2p-2", "0x1.dfffffffffff2p-2",
+         "0x1.fffffffffffefp-2", "0x1.27ffffffffff4p-1", "0x1.37ffffffffff2p-1",
          "0x1.1bffffffffff3p-1", "0x1.0bffffffffff2p-1", "0x1.13ffffffffff2p-1",
          "0x1.0fffffffffff0p-1", "0x1.21fffffffffeep-1"],
     ),
@@ -358,15 +367,15 @@ EXACT_PINS = {
          "0x1.c71c71c71c724p-1", "0x1.c71c71c71c727p-1"],
     ),
     (3, 2): (
-        "ccccgggddddddd",
+        "cccc" + "D" * 10,
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.5555555555555p-1",
-         "0x1.5555555555555p-1", "0x1.7b425ed097b4dp-1", "0x1.61f9add3c0ca1p-1",
-         "0x1.641511e8d2b18p-1", "0x1.8a021b641512cp-1", "0x1.7bf62ad79dad5p-1",
+         "0x1.5555555555555p-1", "0x1.7b425ed097b49p-1", "0x1.61f9add3c0cacp-1",
+         "0x1.641511e8d2b3cp-1", "0x1.8a021b641512cp-1", "0x1.7bf62ad79dad5p-1",
          "0x1.6c82a23d1a576p-1", "0x1.70f5591440268p-1", "0x1.6e9e06522c407p-1",
          "0x1.6d4a687dcba48p-1", "0x1.7f8d213466dbdp-1"],
     ),
     (4, 1): (
-        "cccgggddd",
+        "ccc" + "D" * 6,
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.8000000000000p-1",
          "0x1.4000000000000p-1", "0x1.5000000000000p-1", "0x1.9000000000000p-1",
          "0x1.7800000000000p-1", "0x1.6800000000000p-1", "0x1.6a00000000000p-1"],
@@ -382,29 +391,101 @@ EXACT_PINS = {
 }
 
 
+@pytest.fixture(autouse=True)
+def empty_sweep_memo():
+    # each test starts with no graph's DP at E/2 kept, so spies see it run
+    spectral_stats._exact_variances.cache_clear()
+
+
 @pytest.mark.parametrize("q,m", list(EXACT_PINS))
 def test_exact_variance_bit_for_bit(q, m, monkeypatch):
     seen = []
 
     def spy(route, route_fn):
         def call(*args):
+            mark = len(seen)
             value = route_fn(*args)
+            del seen[mark:]  # the graph's DP at E/2 is one route, D
             if value is not None:
                 seen.append(route)
             return value
 
         return call
 
-    for name, route in [("_balanced_subset_variances", "d"), ("_grouped_variance", "g")]:
+    for name, route in [("_balanced_subset_variances", "d"), ("_grouped_variance", "g"),
+                        ("_exact_variances", "D")]:
         monkeypatch.setattr(spectral_stats, name, spy(route, getattr(spectral_stats, name)))
     routes, values = EXACT_PINS[q, m]
+    E = q ** (m + 1)
     for n, (route, value) in enumerate(zip(routes, values)):
         seen.clear()
         assert _exact_variance(q, m, n).hex() == value
         assert "".join(seen) == ("" if route == "c" else route)
+        assert _exact_variance(q, m, E - n).hex() == value
     # past the pseudo-orbit budget the DP alone answers, or the call is refused
     if (q, m) == (2, 4):
         assert _exact_variance(2, 5, 32).hex() == "0x1.2101fffffffdcp-1"
+
+
+SWEEP_GRAPHS = [(2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1)]
+
+
+def test_sweep_admits_exactly_the_small_graphs():
+    # D = E/2 > m+1, and Str(q, D) pseudo orbits of D edges each within the budget
+    graphs = [(q, m) for q in range(2, 11) for m in range(1, 8) if q ** (m + 1) <= 10**6]
+    assert [g for g in graphs if spectral_stats._sweep_admitted(*g)] == SWEEP_GRAPHS
+
+
+@pytest.mark.parametrize("q,m", SWEEP_GRAPHS)
+def test_sweep_values_do_not_depend_on_call_history(q, m):
+    E = q ** (m + 1)
+    alone = []
+    for n in range(E + 1):
+        spectral_stats._exact_variances.cache_clear()
+        alone.append(_exact_variance(q, m, n).hex())
+    spectral_stats._exact_variances.cache_clear()
+    assert [_exact_variance(q, m, n).hex() for n in range(E + 1)] == alone
+    spectral_stats._exact_variances.cache_clear()
+    assert [_exact_variance(q, m, n).hex() for n in range(E, -1, -1)] == alone[::-1]
+
+
+@pytest.fixture
+def dp_degrees(monkeypatch):
+    """The degree d of every balanced-set DP started, in order."""
+    degrees = []
+
+    def spy(q, m, d, *caps):
+        degrees.append(d)
+        return _balanced_subset_variances(q, m, d, *caps)
+
+    monkeypatch.setattr(spectral_stats, "_balanced_subset_variances", spy)
+    return degrees
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 1)])
+def test_sweep_dp_that_gave_up_runs_once(q, m, dp_degrees):
+    # the DP at D = E/2 gives up on its work cap; the grouping answers D at once
+    E = q ** (m + 1)
+    for n in range(E + 1):
+        _exact_variance(q, m, n)
+    assert spectral_stats._exact_variances(q, m) is None
+    assert dp_degrees.count(E // 2) == 1
+
+
+@pytest.mark.parametrize("q,m,ns", [(2, 5, [7, 8, 32]), (5, 1, [3, 7, 12]), (2, 6, [8, 9])])
+def test_graphs_over_budget_at_half_run_no_sweep_dp(q, m, ns, dp_degrees):
+    for n in ns:
+        dp_degrees.clear()
+        _exact_variance(q, m, n)
+        assert dp_degrees == [n]  # the DP at n's own degree, and none at E/2
+    assert spectral_stats._exact_variances.cache_info().misses == 0
+
+
+def test_sweep_memo_holds_one_graph():
+    for q, m in SWEEP_GRAPHS:
+        for n in range(q ** (m + 1) + 1):
+            _exact_variance(q, m, n)
+            assert spectral_stats._exact_variances.cache_info().currsize <= 1
 
 
 @pytest.mark.parametrize(

@@ -408,6 +408,10 @@ def test_word_string_roundtrip_large_alphabet():
     word = Word((3, 11, 0), 12)
     assert str(word) == "3,11,0"
     assert Word.from_string("3,11,0", 12) == word
+    # every accepted string is the display of the word it parses to
+    for text in ("03,11,0", "3,011,0", "00,11,0"):
+        with pytest.raises(ValueError, match="leading zero"):
+            Word.from_string(text, 12)
 
 
 @settings(max_examples=60)
