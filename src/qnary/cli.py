@@ -19,12 +19,13 @@ import sys
 from .debruijn import _braced, _pseudo_orbit_tuples, build_graph
 from .quantum import (
     _check_dimension,
+    _check_index,
     build_instance,
     char_poly_direct,
     coeff_from_pseudo_orbits,
     evolution_operator,
 )
-from .spectral_stats import variance_report
+from .spectral_stats import _check_sampling, variance_report
 from .words import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
@@ -285,6 +286,10 @@ def _cmd_variance(args) -> int:
     _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
     _require(args.samples >= 0, f"--samples must be non-negative, got {args.samples}")
     _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
+    if not _power_exceeds(args.q, args.m + 1, args.n - 1):  # E < n: E is small then
+        _check_index(args.n, args.q ** (args.m + 1))
+    if args.samples != 0:
+        _check_sampling(args.samples, args.k_max)
     _require_printable_count(args.q, args.n)  # the record's pseudo_orbit_count
     record = variance_report(
         args.q, args.m, args.n, seed=args.seed, samples=args.samples, k_max=args.k_max

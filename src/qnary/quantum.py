@@ -135,9 +135,11 @@ def _check_phase(k: float, n: int, name: str = "wavenumber") -> float:
     return k
 
 
-def _check_index(n: int, E: int) -> None:
+def _check_index(n: int, E: int) -> int:
+    n = operator.index(n)  # a float index is a TypeError, a numpy integer an int
     if not 0 <= n <= E:
         raise ValueError(f"coefficient index {n} outside 0..{E}")
+    return n
 
 
 def _check_dimension(N: int) -> None:
@@ -309,7 +311,7 @@ def coeff_from_pseudo_orbits(n: int, inst: SpectralInstance, k: float) -> comple
     """Coefficient a_n rebuilt from the primitive pseudo orbits of length n."""
     import numpy as np
 
-    _check_index(n, inst.graph.num_edges)
+    n = _check_index(n, inst.graph.num_edges)
     k = _check_phase(k, n)
     weights, metric = expansion_terms(inst, n)
     return complex(np.dot(weights, np.exp(1j * k * metric)))

@@ -21,20 +21,22 @@ equal metric length.  Three routes evaluate it:
   in-edges in S, C_v the last letters of its out-edges).  Complements of
   balanced sets are balanced with equal weight, so Var(a_n) = Var(a_(E-n)).
 
-`exact_grouped_variance` evaluates n at d = min(n, E - n).  For d <= m + 1
-distinct orbits share no edge, so it is the diagonal value.  Beyond that, a
-transfer DP over the balanced edge sets runs while its work stays within the
-number of pseudo orbits of length d and its live states within the default
-enumeration budget over E(d+1).  Past either cap the pseudo orbits of length
-d are grouped by their d edges each, unless those edges exceed the budget in
-all: then BudgetExceededError.
-A graph whose D = E // 2 exceeds m + 1 and whose pseudo orbits of length D,
-D edges each, fit the budget is admitted to one DP per graph instead: run
-once at D under the caps above, it returns Var(a_0..a_D), which answers
-every n, and the last graph's values are kept.  Where it gives up, each d
-takes the route above, except that d = D goes straight to the grouping.
+`exact_grouped_variance` evaluates n at d = min(n, E - n) by one rule:
+
+* for d <= m + 1 distinct orbits share no edge: the diagonal value;
+* otherwise a transfer DP over the balanced edge sets, run at degree D,
+  returns Var(a_0..a_D).  D = E // 2 where the pseudo orbits of length
+  E // 2, E // 2 edges each, fit the default enumeration budget (then they
+  fit at every d), so one run answers every n; else D = d.  The DP gives up
+  past the number of pseudo orbits of length D in work (the budget where
+  those are over it) or past the budget over E(D+1) in live states.  The
+  last run's values are kept;
+* where it gives up, the pseudo orbits of length d are grouped by their d
+  edges each, unless those edges exceed the budget in all: then
+  BudgetExceededError.
+
 Each DP state carries a degree floor, `need`, that prunes the sets which can
-no longer balance within d edges, and each vertex weight comes from a
+no longer balance within D edges, and each vertex weight comes from a
 pure-Python elimination on its <= q x q DFT minor, so no exact value depends
 on LAPACK.  At a state cap of 0 the DP gives up before numpy is imported.
 The value, its route and the refusal depend on (q, m, n) alone, so
@@ -90,54 +92,37 @@ def _exact_variance(q: int, m: int, n: int) -> float:
     """`exact_grouped_variance` of the order-m q-nary graph: every route
     needs only q, m and n."""
     E = q ** (m + 1)
-    _check_index(n, E)
+    n = _check_index(n, E)
     d = min(n, E - n)
     if d <= m + 1:
         # an orbit of length <= m+1 has a whole period in each of its edges, so distinct
         # orbits share no edge: each group is one pseudo orbit, with |A|^2 = q^(-d)
         return diagonal_variance(q, d)
-    if _sweep_admitted(q, m):
-        sweep = _exact_variances(q, m)
-        if sweep is not None:
-            return sweep[d]
-        if d == E // 2:
-            return _grouped_variance(q, m, d)  # the DP at E/2 gave up under these caps
     budget = DEFAULT_ENUMERATION_BUDGET
-    over = _strictly_decreasing_exceeds(q, d, budget // d)  # the grouping's d edges each
-    # the DP's work is at most E * max_states < budget / d: past it only the state cap binds
-    max_states = budget // (E * (d + 1))
-    max_work = budget if over else count_strictly_decreasing(q, d)
-    variances = _balanced_subset_variances(q, m, d, max_work, max_states)
+    # where the grouping fits at E // 2 it fits at every d <= E // 2, and one DP answers all
+    depth = d if _strictly_decreasing_exceeds(q, E // 2, budget // (E // 2)) else E // 2
+    variances = _dp_variances(q, m, depth)
     if variances is not None:
-        return float(variances[d])
-    if over:
-        raise BudgetExceededError(f"balanced-set DP exceeds {max_states} live states, and "
-                                  f"{over} pseudo orbits of length {d}, {d} edges each, "
-                                  f"exceed budget {budget}")
+        return variances[d]
+    if over := _strictly_decreasing_exceeds(q, d, budget // d):  # the grouping's d edges each
+        raise BudgetExceededError(f"balanced-set DP exceeds {budget // (E * (d + 1))} live "
+                                  f"states, and {over} pseudo orbits of length {d}, {d} edges "
+                                  f"each, exceed budget {budget}")
     return _grouped_variance(q, m, d)
 
 
-def _sweep_admitted(q: int, m: int) -> bool:
-    """Whether the order-m graph's exact values come from one DP at
-    D = E // 2: D > m + 1, and the grouping of the Str(q, D) pseudo orbits of
-    length D, D edges each, fits the budget (then it does at every d <= D)."""
-    D = q ** (m + 1) // 2
-    return D > m + 1 and not _strictly_decreasing_exceeds(
-        q, D, DEFAULT_ENUMERATION_BUDGET // D
-    )
-
-
 @functools.lru_cache(maxsize=1)
-def _exact_variances(q: int, m: int) -> tuple[float, ...] | None:
-    """Var(a_0..a_D), D = E // 2, of an admitted graph (`_sweep_admitted`)
-    from one balanced-set DP under the caps `_exact_variance` gives it at
-    d = D, or None where that DP gives up.  Var(a_n) = Var(a_(E-n)), so the
-    tuple answers every n; one graph's tuple is kept."""
+def _dp_variances(q: int, m: int, depth: int) -> tuple[float, ...] | None:
+    """Var(a_0..a_depth) of the order-m graph from one balanced-set DP, or
+    None where it gives up: past budget / (E (depth+1)) live states, or past
+    the Str(q, depth) pseudo orbits of length depth in work while the
+    grouping of them fits the budget.  One call's values are kept."""
     E = q ** (m + 1)
-    D = E // 2
-    variances = _balanced_subset_variances(
-        q, m, D, count_strictly_decreasing(q, D), DEFAULT_ENUMERATION_BUDGET // (E * (D + 1))
-    )
+    budget = DEFAULT_ENUMERATION_BUDGET
+    over = _strictly_decreasing_exceeds(q, depth, budget // depth)
+    # the DP's work is at most E * max_states < budget / depth: past it only the state cap binds
+    max_work = budget if over else count_strictly_decreasing(q, depth)
+    variances = _balanced_subset_variances(q, m, depth, max_work, budget // (E * (depth + 1)))
     return None if variances is None else tuple(variances.tolist())
 
 
@@ -432,7 +417,7 @@ def monte_carlo_variance(
 
     Returns (sample mean, standard error); deterministic for a given seed.
     """
-    _check_index(n, inst.graph.num_edges)
+    n = _check_index(n, inst.graph.num_edges)
     mean, error = _sampled_variances(inst, [n], samples, k_max, seed)
     return float(mean[0]), float(error[0])
 
@@ -455,7 +440,7 @@ def monte_carlo_coefficient_means(
 
 def rmt_reference(ensemble: str, n: int, dim: int) -> float:
     """Circular-ensemble coefficient variance: CUE -> 1, COE -> 1 + n(E-n)/(E+1)."""
-    _check_index(n, dim)
+    n = _check_index(n, dim)
     name = ensemble.upper()
     if name == "CUE":
         return 1.0
@@ -483,6 +468,7 @@ def variance_report(
     E = build_graph(q, m).num_edges
     if samples > 0:
         _check_sample_size(samples, E)
+    n = _check_index(n, E)
     exact = _exact_variance(q, m, n)
     record = {
         "q": q, "m": m, "n": n, "seed": seed, "samples": samples,

@@ -607,6 +607,22 @@ def test_variance_with_more_digits_than_int_to_str_formats_exits_3(capsys):
     assert "count 1*2^16383 has more than 4300 digits" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # 2^19999 pseudo orbits of length 20000, but n lies past E = 4
+        (["--m", "1", "--n", "20000"], "coefficient index 20000 outside 0..4"),
+        (["--m", "14", "--n", "16384", "--samples", "1"], "need at least 2 samples, got 1"),
+    ],
+    ids=["index", "samples"],
+)
+def test_variance_argument_errors_come_before_the_count_digits(capsys, argv, message):
+    code, out, err = run(capsys, "variance", "--q", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_variance_infinite_k_max_is_usage_error(capsys):
     code, out, err = run(capsys, "variance", "--q", "2", "--m", "1", "--n", "2",
                          "--samples", "10", "--k-max", "inf")

@@ -19,6 +19,7 @@ from qnary.quantum import (
 )
 from qnary.spectral_stats import (
     _balanced_subset_variances,
+    _dp_variances,
     _exact_variance,
     _group_order,
     _grouped_variance,
@@ -334,8 +335,9 @@ def test_balanced_subset_dp_equals_pseudo_orbit_grouping(q, m, n_max):
 
 # float.hex of _exact_variance(q, m, n) for n = 0..E/2, recorded before the DP's
 # step loop was rewritten and, for (2, 3), (2, 4), (3, 2) and (4, 1), again once one
-# DP at E/2 answered their whole sweep; and the route of each n: c the closed form,
-# D the graph's DP at E/2, d the DP at d, g the grouping once the DP gave up
+# DP at E/2 answered their whole sweep, and for (2, 5) before the DP at d was
+# memoised; and the route of each n: c the closed form, D the DP at degree E/2,
+# d the DP at degree d < E/2, g the grouping once the DP gave up
 EXACT_PINS = {
     (2, 1): (
         "ccc",
@@ -361,6 +363,20 @@ EXACT_PINS = {
          "0x1.1bffffffffff3p-1", "0x1.0bffffffffff2p-1", "0x1.13ffffffffff2p-1",
          "0x1.0fffffffffff0p-1", "0x1.21fffffffffeep-1"],
     ),
+    (2, 5): (
+        "c" * 7 + "g" * 6 + "d" * 19 + "D",
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p-1",
+         "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+         "0x1.0000000000000p-1", "0x1.2fffffffffffcp-1", "0x1.2fffffffffffep-1",
+         "0x1.1ffffffffffffp-1", "0x1.13fffffffffffp-1", "0x1.0bfffffffffffp-1",
+         "0x1.1afffffffffffp-1", "0x1.25ffffffffff2p-1", "0x1.28ffffffffff0p-1",
+         "0x1.287ffffffffefp-1", "0x1.27bffffffffeep-1", "0x1.21bffffffffeep-1",
+         "0x1.1e9ffffffffecp-1", "0x1.213ffffffffebp-1", "0x1.22bffffffffeap-1",
+         "0x1.27effffffffe8p-1", "0x1.2727fffffffe7p-1", "0x1.23d7fffffffe6p-1",
+         "0x1.24fffffffffe5p-1", "0x1.22f7fffffffe4p-1", "0x1.22ebfffffffe3p-1",
+         "0x1.26effffffffe1p-1", "0x1.2963fffffffe0p-1", "0x1.2773fffffffdfp-1",
+         "0x1.259bfffffffdep-1", "0x1.230ffffffffddp-1", "0x1.2101fffffffdcp-1"],
+    ),
     (3, 1): (
         "cccgg",
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.5555555555555p-1",
@@ -381,7 +397,7 @@ EXACT_PINS = {
          "0x1.7800000000000p-1", "0x1.6800000000000p-1", "0x1.6a00000000000p-1"],
     ),
     (5, 1): (
-        "cccggggdddddd",
+        "cccggggdddddD",
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.999999999999ap-1",
          "0x1.66f87ce35c633p-1", "0x1.65096adb95c85p-1", "0x1.6fa4072a0fd14p-1",
          "0x1.7508b5135fb35p-1", "0x1.835b379ba38adp-1", "0x1.7eea44d2b9714p-1",
@@ -392,48 +408,57 @@ EXACT_PINS = {
 
 
 @pytest.fixture(autouse=True)
-def empty_sweep_memo():
-    # each test starts with no graph's DP at E/2 kept, so spies see it run
-    spectral_stats._exact_variances.cache_clear()
+def empty_dp_memo():
+    # each test starts with no DP's values kept, so spies see it run
+    spectral_stats._dp_variances.cache_clear()
 
 
 @pytest.mark.parametrize("q,m", list(EXACT_PINS))
 def test_exact_variance_bit_for_bit(q, m, monkeypatch):
+    E = q ** (m + 1)
     seen = []
 
-    def spy(route, route_fn):
-        def call(*args):
-            mark = len(seen)
-            value = route_fn(*args)
-            del seen[mark:]  # the graph's DP at E/2 is one route, D
-            if value is not None:
-                seen.append(route)
-            return value
+    def dp(q, m, depth):
+        value = _dp_variances(q, m, depth)
+        if value is not None:
+            seen.append("D" if depth == E // 2 else "d")
+        return value
 
-        return call
+    def grouped(*args):
+        seen.append("g")
+        return _grouped_variance(*args)
 
-    for name, route in [("_balanced_subset_variances", "d"), ("_grouped_variance", "g"),
-                        ("_exact_variances", "D")]:
-        monkeypatch.setattr(spectral_stats, name, spy(route, getattr(spectral_stats, name)))
+    monkeypatch.setattr(spectral_stats, "_dp_variances", dp)
+    monkeypatch.setattr(spectral_stats, "_grouped_variance", grouped)
     routes, values = EXACT_PINS[q, m]
-    E = q ** (m + 1)
     for n, (route, value) in enumerate(zip(routes, values)):
         seen.clear()
         assert _exact_variance(q, m, n).hex() == value
         assert "".join(seen) == ("" if route == "c" else route)
         assert _exact_variance(q, m, E - n).hex() == value
-    # past the pseudo-orbit budget the DP alone answers, or the call is refused
-    if (q, m) == (2, 4):
-        assert _exact_variance(2, 5, 32).hex() == "0x1.2101fffffffdcp-1"
 
 
 SWEEP_GRAPHS = [(2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1)]
 
 
-def test_sweep_admits_exactly_the_small_graphs():
-    # D = E/2 > m+1, and Str(q, D) pseudo orbits of D edges each within the budget
+def test_sweep_admits_exactly_the_small_graphs(monkeypatch):
+    # D = E/2 > m+1, and Str(q, D) pseudo orbits of D edges each within the budget:
+    # then even d = m+2 reads the DP at degree D
+    depths = []
+
+    def dp(q, m, depth):
+        depths.append(depth)
+        return (0.0,) * (depth + 1)
+
+    monkeypatch.setattr(spectral_stats, "_dp_variances", dp)
     graphs = [(q, m) for q in range(2, 11) for m in range(1, 8) if q ** (m + 1) <= 10**6]
-    assert [g for g in graphs if spectral_stats._sweep_admitted(*g)] == SWEEP_GRAPHS
+    admitted = []
+    for q, m in graphs:
+        depths.clear()
+        _exact_variance(q, m, m + 2)
+        if depths == [q ** (m + 1) // 2]:
+            admitted.append((q, m))
+    assert admitted == SWEEP_GRAPHS
 
 
 @pytest.mark.parametrize("q,m", SWEEP_GRAPHS)
@@ -441,11 +466,11 @@ def test_sweep_values_do_not_depend_on_call_history(q, m):
     E = q ** (m + 1)
     alone = []
     for n in range(E + 1):
-        spectral_stats._exact_variances.cache_clear()
+        spectral_stats._dp_variances.cache_clear()
         alone.append(_exact_variance(q, m, n).hex())
-    spectral_stats._exact_variances.cache_clear()
+    spectral_stats._dp_variances.cache_clear()
     assert [_exact_variance(q, m, n).hex() for n in range(E + 1)] == alone
-    spectral_stats._exact_variances.cache_clear()
+    spectral_stats._dp_variances.cache_clear()
     assert [_exact_variance(q, m, n).hex() for n in range(E, -1, -1)] == alone[::-1]
 
 
@@ -464,12 +489,13 @@ def dp_degrees(monkeypatch):
 
 @pytest.mark.parametrize("q,m", [(2, 2), (3, 1)])
 def test_sweep_dp_that_gave_up_runs_once(q, m, dp_degrees):
-    # the DP at D = E/2 gives up on its work cap; the grouping answers D at once
+    # the DP at D = E/2 gives up on its work cap, and every d > m+1 goes to the
+    # grouping: on (3, 1) the sweep starts no DP at d = 3
     E = q ** (m + 1)
     for n in range(E + 1):
         _exact_variance(q, m, n)
-    assert spectral_stats._exact_variances(q, m) is None
-    assert dp_degrees.count(E // 2) == 1
+    assert spectral_stats._dp_variances(q, m, E // 2) is None
+    assert dp_degrees == [E // 2]
 
 
 @pytest.mark.parametrize("q,m,ns", [(2, 5, [7, 8, 32]), (5, 1, [3, 7, 12]), (2, 6, [8, 9])])
@@ -478,14 +504,45 @@ def test_graphs_over_budget_at_half_run_no_sweep_dp(q, m, ns, dp_degrees):
         dp_degrees.clear()
         _exact_variance(q, m, n)
         assert dp_degrees == [n]  # the DP at n's own degree, and none at E/2
-    assert spectral_stats._exact_variances.cache_info().misses == 0
+    assert spectral_stats._dp_variances.cache_info().misses == len(ns)
+
+
+def test_dp_at_d_answers_n_and_its_complement_once(dp_degrees):
+    # on (2, 5), n = 7 and n = 64 - 7 = 57 read one DP at degree 7
+    _exact_variance(2, 5, 7)
+    _exact_variance(2, 5, 57)
+    assert dp_degrees == [7]
 
 
 def test_sweep_memo_holds_one_graph():
     for q, m in SWEEP_GRAPHS:
         for n in range(q ** (m + 1) + 1):
             _exact_variance(q, m, n)
-            assert spectral_stats._exact_variances.cache_info().currsize <= 1
+            assert spectral_stats._dp_variances.cache_info().currsize <= 1
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 4, 8), (2, 5, 8), (2, 5, 40), (2, 5, 3)])
+def test_numpy_integer_index_is_its_int(q, m, n):
+    # the DP at E/2, the grouping, the DP at d and the closed form
+    inst = build_instance(q, m, seed=1)
+    assert exact_grouped_variance(inst, np.int64(n)) == exact_grouped_variance(inst, n)
+
+
+def test_variance_report_takes_a_numpy_integer_index():
+    # the record holds the int: 2^63 pseudo orbits and the diagonal 0.5, not int64 wraparound
+    record = variance_report(2, 5, np.int64(64), seed=0)
+    assert json.dumps(record) == json.dumps(variance_report(2, 5, 64, seed=0))
+
+
+def test_float_index_is_a_type_error():
+    inst = build_instance(2, 2, seed=1)
+    for call in (lambda: exact_grouped_variance(inst, 4.0),
+                 lambda: monte_carlo_variance(inst, 4.0, 10, 1e4, seed=0),
+                 lambda: rmt_reference("CUE", 4.0, 8),
+                 lambda: coeff_from_pseudo_orbits(2.0, inst, 1.0),
+                 lambda: variance_report(2, 2, 4.0, seed=0)):
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize(
