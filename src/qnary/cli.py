@@ -177,6 +177,7 @@ def _cmd_factorize(args) -> int:
 def _cmd_count(args) -> int:
     _require(args.q >= 1, f"--q must be at least 1, got {args.q}")
     _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
+    _require(args.budget >= 1, f"--budget must be at least 1, got {args.budget}")
     formula = bruteforce = None
     if args.mode in ("formula", "both"):
         _require_printable_count(args.q, args.n)
@@ -203,6 +204,7 @@ def _cmd_orbits(args) -> int:
     _require(args.q >= 2, f"--q must be at least 2, got {args.q}")
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
     _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
+    _require(args.budget >= 1, f"--budget must be at least 1, got {args.budget}")
     words, items = _pseudo_orbit_tuples(args.q, args.n, budget=args.budget)
     shown = [_display(w, args.q) for w in words]
     orbits = ([shown[i] for i in item] for item in items)
@@ -222,6 +224,7 @@ def _cmd_coeffs(args) -> int:
     _require(args.q >= 2, f"--q must be at least 2, got {args.q}")
     _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
     _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
+    _require(args.budget >= 1, f"--budget must be at least 1, got {args.budget}")
     # refuse from q and m alone, before Sigma is assembled
     E = build_graph(args.q, args.m, budget=args.budget).num_edges
     # the pseudo orbits of lengths 0..E number q^E + 1, refused without

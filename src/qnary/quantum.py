@@ -15,17 +15,19 @@ and as finite sums over primitive pseudo orbits,
 
 where an orbit's amplitude is the cyclic product of Sigma entries along its
 edge sequence and its metric length the sum of traversed edge lengths.
-Amplitudes are read from the DFT by the orbit's letters.
+Amplitudes are read by the orbit's letters from `_dft_table`, the DFT as
+rows of Python complex that `math` computes and `dft_matrix` wraps.
 
 The direct route costs O(E^3) per matrix and takes a stack of matrices with
 the sample axis last, so the Monte-Carlo sampler in `spectral_stats` reduces
 a chunk of wavenumbers, about 256 KiB of U(k), in one call.  The orbit
 route enumerates the pseudo orbits it needs afresh on every call; nothing
 is cached on the instance, so a caller that evaluates many k takes
-`expansion_terms` once.  numpy is imported inside the functions that
-compute, so the combinatorial commands, which never call them, start
-without loading it.  Seeded draws come from `_random`, Python's own
-Mersenne Twister, so no path loads `numpy.random`.
+`expansion_terms` once.  numpy holds only arrays sized by E or by the
+sample count, and is imported inside the functions that build them, so the
+combinatorial commands start without loading it and the pseudo-orbit terms
+never load it.  Seeded draws come from `_random`, Python's own Mersenne
+Twister, so no path loads `numpy.random`.
 """
 
 from __future__ import annotations
@@ -45,9 +47,15 @@ def dft_matrix(q: int) -> np.ndarray:
 
     if q < 1:
         raise ValueError(f"size must be at least 1, got {q}")
-    j = np.arange(q)
-    phase = (np.outer(j, j) % q) * (2.0 * np.pi / q)
-    return np.exp(1j * phase) / np.sqrt(q)
+    return np.array(_dft_table(q))
+
+
+def _dft_table(q: int) -> list[list[complex]]:
+    """`dft_matrix(q)` as rows of Python complex, from `math` alone: the
+    float operations numpy's exp and divide perform, bit for bit."""
+    s, step = 1 / math.sqrt(q), 2 * math.pi / q
+    phases = [[j * k % q * step for k in range(q)] for j in range(q)]
+    return [[complex(s * math.cos(p), s * math.sin(p)) for p in row] for row in phases]
 
 
 def assemble_sigma(graph: QNaryGraph) -> np.ndarray:
@@ -252,7 +260,7 @@ def orbit_amplitude(orbit: Word, inst: SpectralInstance) -> complex:
     _check_orbit(orbit)
     if orbit.q != inst.graph.q:
         raise ValueError("orbit and graph alphabet sizes differ")
-    return _word_amplitude(orbit.letters, inst.graph.m, dft_matrix(orbit.q).tolist())
+    return _word_amplitude(orbit.letters, inst.graph.m, _dft_table(orbit.q))
 
 
 def _word_amplitude(word: tuple[int, ...], m: int, F: list[list[complex]]) -> complex:
@@ -271,7 +279,7 @@ def _pseudo_orbit_terms(q: int, m: int, n: int):
     amplitude are computed once.
     """
     words, items = _pseudo_orbit_tuples(q, n)  # refuses over the budget
-    F = dft_matrix(q).tolist()
+    F = _dft_table(q)
     amps = [_word_amplitude(w, m, F) for w in words]
 
     def terms():

@@ -37,8 +37,11 @@ equal metric length.  Three routes evaluate it:
 
 Each DP state carries a degree floor, `need`, that prunes the sets which can
 no longer balance within D edges, and each vertex weight comes from a
-pure-Python elimination on its <= q x q DFT minor, so no exact value depends
-on LAPACK.  At a state cap of 0 the DP gives up before numpy is imported.
+pure-Python elimination on its <= q x q minor of the DFT table
+(`quantum._dft_table`), so no exact value depends on LAPACK or on a complex
+numpy kernel.  numpy holds only the DP's arrays, sized by its live states,
+and the sampler's, sized by E and the sample count: at a state cap of 0 the
+DP gives up before numpy is imported, and the grouping never imports it.
 The value, its route and the refusal depend on (q, m, n) alone, so
 `variance_report` builds the instance only to sample.
 
@@ -62,11 +65,11 @@ from .quantum import (
     _check_dimension,
     _check_index,
     _check_phase,
+    _dft_table,
     _pseudo_orbit_terms,
     _random,
     assemble_sigma,
     build_instance,
-    dft_matrix,
 )
 from .words import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -266,7 +269,7 @@ def _balanced_subset_variances(
     steps, width = _edge_schedule(q, m)
     bits, letters = 2 * q, (1 << q) - 1
     vertex = (1 << bits) - 1
-    dft = dft_matrix(q).tolist()
+    dft = _dft_table(q)
     # object codes hold Python ints when the slots outgrow 63 bits
     codes = np.zeros(1, dtype=np.int64 if width * bits < 63 else object)
     aux = np.zeros((1, width + 1), dtype=np.int64)

@@ -294,6 +294,22 @@ def test_orbits_budget(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "2", "--n", "3", "--mode", "formula", "--budget", "-1"],
+        ["orbits", "--q", "2", "--m", "1", "--n", "3", "--budget", "-5"],
+        ["coeffs", "--q", "2", "--m", "1", "--k", "1", "--budget", "0"],
+    ],
+    ids=["count", "orbits", "coeffs"],
+)
+def test_budget_below_one_is_an_argument_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --budget must be at least 1, got {argv[-1]}\n"
+
+
 def test_orbits_q1_rejected(capsys):
     code, _, err = run(capsys, "orbits", "--q", "1", "--m", "1", "--n", "2")
     assert code == 2

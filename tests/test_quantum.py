@@ -6,6 +6,7 @@ interpolates det(xi I - U) from its values at roots of unity.  The
 pseudo-orbit expansion is checked against the direct route.
 """
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -22,6 +23,7 @@ from qnary.debruijn import (
 from qnary.quantum import (
     CharPolyCoefficients,
     _char_polys,
+    _dft_table,
     _random,
     assemble_sigma,
     build_instance,
@@ -83,6 +85,23 @@ def test_dft_unitary(q):
     assert unitarity_defect(dft_matrix(q)) < 1e-13
 
 
+def test_dft_table_is_numpys_dft_bit_for_bit():
+    # the table comes from math alone, and dft_matrix is built from it: both
+    # keep the bits of numpy's complex exp and divide, the DFT's former route
+    def bits(rows):
+        return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
+
+    for q in range(1, 65):
+        j = np.arange(q)
+        numpy_dft = np.exp(1j * ((np.outer(j, j) % q) * (2.0 * np.pi / q))) / np.sqrt(q)
+        assert bits(_dft_table(q)) == bits(dft_matrix(q).tolist()) == bits(numpy_dft.tolist())
+
+
+def test_dft_matrix_refuses_size_zero():
+    with pytest.raises(ValueError, match="size must be at least 1, got 0"):
+        dft_matrix(0)
+
+
 # --- Sigma assembly -----------------------------------------------------------
 
 
@@ -97,6 +116,22 @@ def test_sigma_q2_m1_entries():
     assert s[1, 2] == pytest.approx(-INV_SQRT2)
     # out 10 (last letter 0), in 01 (first letter 0): omega^0 = +1
     assert s[2, 1] == pytest.approx(INV_SQRT2)
+
+
+# sha256 of assemble_sigma(build_graph(q, m)).tobytes(), taken when the DFT
+# was still computed by numpy's complex kernels
+SIGMA_SHA256 = {
+    (2, 1): "8765cb95f180a7a8c2bfab56621b58096ee4e582d2c0684bc880f345a55374b3",
+    (2, 3): "efcb491e6a4a32e55785ffdc2a4d862bc9b83f66ed2436ebd650547c1e4c9562",
+    (3, 2): "88a373c5afb224b03ad3058ba853f7840270452a3876695ffcd2589c1c5dcf1f",
+    (4, 1): "7f7a3cd8930010f5a0250037456b74f04a052f35cbfaff3ebe50bcca33435b01",
+}
+
+
+@pytest.mark.parametrize("q,m", list(SIGMA_SHA256))
+def test_sigma_bytes_pinned(q, m):
+    sigma = assemble_sigma(build_graph(q, m))
+    assert hashlib.sha256(sigma.tobytes()).hexdigest() == SIGMA_SHA256[q, m]
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])

@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,6 +624,25 @@ def test_exact_variance_never_calls_lapack(monkeypatch):
         E = q ** (m + 1)
         values = [_exact_variance(q, m, n) for n in range(E + 1)]
         assert values[0] == values[E] == pytest.approx(1.0, abs=1e-12)
+
+
+GROUPING_PROBE = """
+import sys
+from qnary import spectral_stats
+print(spectral_stats._grouped_variance(2, 2, 4).hex(), "numpy" in sys.modules)
+"""
+
+
+def test_grouping_reads_the_dft_without_numpy():
+    # the amplitudes multiply entries of the DFT table, which math alone builds
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", GROUPING_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # 0.7499999999999996, EXACT_PINS' grouped value at q=2 m=2 n=4
+    assert proc.stdout.split() == ["0x1.7fffffffffffcp-1", "False"]
 
 
 def test_balanced_subset_dp_with_codes_wider_than_64_bits():
