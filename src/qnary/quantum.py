@@ -8,26 +8,26 @@ U(k) = e^{ikL} Sigma is the unitary evolution operator at wavenumber k.
 The coefficients a_n of det(xi I - U(k)) = sum_n a_n xi^(E-n) are computed
 two ways: directly, by a unitary reduction of U(k) to upper Hessenberg form
 followed by La Budde's recurrence over its leading principal submatrices,
-and as finite sums over primitive pseudo orbits,
+and as finite sums over primitive pseudo orbits grouped by the multiset g of
+edges they traverse (`_edge_groups`, the table the exact variance sums),
 
-    a_n = sum over pseudo orbits of total length n of
-          (-1)^(orbit count) * amplitude * exp(i k * metric length),
+    a_n = sum over groups g of length n of A_g * prod_(e in g) e^(i k l_e),
 
-where an orbit's amplitude is the cyclic product of Sigma entries along its
-edge sequence and its metric length the sum of traversed edge lengths.
+where A_g sums (-1)^(orbit count) * amplitude over the group, an orbit's
+amplitude the cyclic product of Sigma entries along its edge sequence.
 Amplitudes are read by the orbit's letters from `_dft_table`, the DFT as
 rows of Python complex that `math` computes and `dft_matrix` wraps.
 
 The direct route costs O(E^3) per matrix and takes a stack of matrices with
 the sample axis last, so the Monte-Carlo sampler in `spectral_stats` reduces
 a chunk of wavenumbers, about 256 KiB of U(k), in one call.  The orbit
-route enumerates the pseudo orbits it needs afresh on every call; nothing
-is cached on the instance, so a caller that evaluates many k takes
-`expansion_terms` once.  numpy holds only arrays sized by E or by the
-sample count, and is imported inside the functions that build them, so the
-combinatorial commands start without loading it and the pseudo-orbit terms
-never load it.  Seeded draws come from `_random`, Python's own Mersenne
-Twister, so no path loads `numpy.random`.
+route reads U(k)'s own per-edge phases, so the routes agree to rounding at
+every k; `expansion_terms`, for many k at once, rounds one phase per pseudo
+orbit, an error that grows with k.  numpy holds only arrays sized by E or
+by the sample count, and is imported inside the functions that build them,
+so the combinatorial commands start without loading it and the pseudo-orbit
+terms never load it.  Seeded draws come from `_random`, Python's own
+Mersenne Twister, so no path loads `numpy.random`.
 """
 
 from __future__ import annotations
@@ -315,11 +315,22 @@ def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndar
     return weights, metric
 
 
+def _edge_groups(q: int, m: int, n: int) -> dict[tuple[int, ...], complex]:
+    """Pseudo orbits of length n by edge multiset: sorted edges -> summed signed amplitude."""
+    walks, terms = _pseudo_orbit_terms(q, m, n)
+    groups: dict[tuple[int, ...], complex] = {}
+    for item, weight in terms:
+        key = tuple(sorted(e for i in item for e in walks[i]))
+        groups[key] = groups.get(key, 0j) + weight
+    return groups
+
+
 def coeff_from_pseudo_orbits(n: int, inst: SpectralInstance, k: float) -> complex:
-    """Coefficient a_n rebuilt from the primitive pseudo orbits of length n."""
+    """a_n = sum over the `_edge_groups` g of length n of A_g prod_(e in g) e^(i k l_e)."""
     import numpy as np
 
     n = _check_index(n, inst.graph.num_edges)
     k = _check_phase(k, n)
-    weights, metric = expansion_terms(inst, n)
-    return complex(np.dot(weights, np.exp(1j * k * metric)))
+    phase = np.exp(1j * k * inst.lengths).tolist() if n else []  # U(k)'s; a_0 reads none
+    groups = _edge_groups(inst.graph.q, inst.graph.m, n)
+    return complex(sum(A * math.prod([phase[e] for e in key]) for key, A in groups.items()))

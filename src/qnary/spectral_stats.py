@@ -66,7 +66,7 @@ from .quantum import (
     _check_index,
     _check_phase,
     _dft_table,
-    _pseudo_orbit_terms,
+    _edge_groups,
     _random,
     assemble_sigma,
     build_instance,
@@ -130,15 +130,9 @@ def _dp_variances(q: int, m: int, depth: int) -> tuple[float, ...] | None:
 
 
 def _grouped_variance(q: int, m: int, n: int) -> float:
-    """Pseudo orbits of length n on the order-m graph grouped by the multiset
-    of edges they traverse (their edge-multiplicity vector); each group
-    contributes |sum of signed amplitudes|^2."""
-    walks, terms = _pseudo_orbit_terms(q, m, n)
-    groups: dict[tuple[int, ...], complex] = {}
-    for item, weight in terms:
-        key = tuple(sorted(e for i in item for e in walks[i]))
-        groups[key] = groups.get(key, 0j) + weight
-    return float(sum(abs(v) ** 2 for v in groups.values()))
+    """Sum over the groups of `quantum._edge_groups`, the pseudo orbits of
+    length n grouped by their edge multiset, of |group amplitude|^2."""
+    return float(sum(abs(v) ** 2 for v in _edge_groups(q, m, n).values()))
 
 
 def _group_order(q: int, m: int) -> list[int]:

@@ -355,13 +355,17 @@ def test_orbits_stream_the_one_shot_output(capsys, q, n_max, m, fmt):
 # --- coeffs ------------------------------------------------------------------------------
 
 
-def test_coeffs_both_agree(capsys):
+@pytest.mark.parametrize(
+    "k,shown", [("3.5", "3.5"), ("1e7", "10000000"), ("1e12", "1e+12")], ids=["3.5", "1e7", "1e12"]
+)
+def test_coeffs_both_agree(capsys, k, shown):
+    # both routes read U(k)'s per-edge phases, so max_delta stays at rounding for large k
     code, out, _ = run(
-        capsys, "coeffs", "--q", "2", "--m", "2", "--k", "3.5", "--seed", "7", "--method", "both"
+        capsys, "coeffs", "--q", "2", "--m", "2", "--k", k, "--seed", "7", "--method", "both"
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "q=2 m=2 k=3.5 seed=7 method=both"
+    assert lines[0] == f"q=2 m=2 k={shown} seed=7 method=both"
     assert lines[1] == "a_0 = (1, 0)"
     assert lines[-1].startswith("max_delta=")
     assert float(lines[-1].split("=")[1]) < 1e-9

@@ -508,6 +508,18 @@ def test_expansion_at_k_zero_matches_sigma():
     assert np.max(np.abs(direct - expanded)) < 1e-9
 
 
+@pytest.mark.parametrize("q,m,seed", [(2, 2, 3), (3, 1, 2), (2, 3, 1)])
+@pytest.mark.parametrize("k", [3.5, 1e5, 1e7, 1e12])
+def test_expansion_matches_determinant_at_every_k(q, m, seed, k):
+    # both routes multiply U(k)'s per-edge phases, so they agree to rounding
+    # however large k * length grows
+    inst = build_instance(q, m, seed)
+    E = inst.graph.num_edges
+    direct = char_poly_direct(evolution_operator(inst, k)).a
+    expanded = np.array([coeff_from_pseudo_orbits(n, inst, k) for n in range(E + 1)])
+    assert np.max(np.abs(direct - expanded)) <= 1e-13
+
+
 @pytest.mark.parametrize("q,m,k", [(2, 2, 3.3), (2, 3, 11.0), (3, 2, 4.2)])
 def test_unitary_self_inversive_on_instances(q, m, k):
     inst = build_instance(q, m, seed=13)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from qnary import quantum, spectral_stats
-from qnary.debruijn import _windows, edge_multiplicities, primitive_pseudo_orbits
+from qnary.debruijn import _windows, build_graph, edge_multiplicities, primitive_pseudo_orbits
 from qnary.quantum import (
+    _char_polys,
     assemble_sigma,
     build_instance,
     coeff_from_pseudo_orbits,
@@ -335,6 +336,67 @@ def test_balanced_subset_dp_equals_pseudo_orbit_grouping(q, m, n_max):
     dp = _balanced_subset_variances(q, m, n_max, **FULL_DP)
     for n in range(n_max + 1):
         assert dp[n] == pytest.approx(_grouped_variance(q, m, n), abs=1e-12)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (3, 1), (2, 3), (4, 1)])
+def test_sign_class_average_is_the_exact_variance(q, m):
+    # a third exact route, sharing no code with the DP or the grouping.  Var(a_n)
+    # is the mean of |a_n|^2 over independent +-1 edge signs eps, U = diag(eps)
+    # Sigma, since distinct edge sets have distinct sign products.  The gauge
+    # eps_e -> eps_e eta_origin(e) eta_terminus(e) is a diagonal similarity, so
+    # it keeps a_n, and fixing eps = +1 on a spanning tree leaves one
+    # representative for each of the 2^(E-V+1) equal-sized classes
+    graph = build_graph(q, m)
+    V, E = graph.num_vertices, graph.num_edges
+    parent = list(range(V))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    free = []
+    for e in range(E):  # origin e // q, terminus e % V
+        a, b = root(e // q), root(e % V)
+        if a == b:
+            free.append(e)
+        else:
+            parent[a] = b
+    assert len(free) == E - V + 1
+    classes = 2 ** len(free)
+    signs = np.ones((E, classes))
+    signs[free] = 1 - 2 * ((np.arange(classes) >> np.arange(len(free))[:, None]) & 1)
+    H = signs[:, None, :] * assemble_sigma(graph)[:, :, None]
+    polys = _char_polys(H, np.empty(E * E * classes, dtype=complex),
+                        np.empty((E + 1, E + 1, classes), dtype=complex))
+    variances = (np.abs(polys) ** 2).mean(axis=0)
+    for n in range(E + 1):
+        assert abs(variances[n] - _exact_variance(q, m, n)) <= 1e-13
+
+
+def test_coefficient_and_grouped_variance_read_one_edge_group_table(monkeypatch):
+    # a_n(k) = sum_g A_g e^(i k L_g) and Var(a_n) = sum_g |A_g|^2 over one table;
+    # the coefficient multiplies U(k)'s per-edge phases, not per-orbit ones
+    table, calls = quantum._edge_groups, []
+
+    def spy(*args):
+        calls.append(args)
+        return table(*args)
+
+    def refuse(*args):
+        raise AssertionError("the coefficient read the per-pseudo-orbit expansion")
+
+    monkeypatch.setattr(quantum, "_edge_groups", spy)
+    monkeypatch.setattr(spectral_stats, "_edge_groups", spy)
+    monkeypatch.setattr(quantum, "expansion_terms", refuse)
+    inst, k = build_instance(2, 2, seed=3), 1e12
+    groups = table(2, 2, 4)
+    assert all(len(key) == 4 and list(key) == sorted(key) for key in groups)
+    phase = np.exp(1j * k * inst.lengths)
+    expected = sum(A * np.prod(phase[list(key)]) for key, A in groups.items())
+    assert coeff_from_pseudo_orbits(4, inst, k) == pytest.approx(expected, abs=1e-15)
+    assert _grouped_variance(2, 2, 4) == sum(abs(A) ** 2 for A in groups.values())
+    assert calls == [(2, 2, 4), (2, 2, 4)]
 
 
 # float.hex of _exact_variance(q, m, n) for n = 0..E/2, recorded before the DP's
