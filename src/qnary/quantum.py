@@ -24,14 +24,17 @@ a chunk of wavenumbers, about 256 KiB of U(k), in one call.  The orbit
 route reads U(k)'s own per-edge phases, so the routes agree to rounding at
 every k; `expansion_terms`, for many k at once, rounds one phase per pseudo
 orbit, an error that grows with k.  numpy holds only arrays sized by E or
-by the sample count, and is imported inside the functions that build them,
-so the combinatorial commands start without loading it and the pseudo-orbit
-terms never load it.  Seeded draws come from `_random`, Python's own
-Mersenne Twister, so no path loads `numpy.random`.
+by the sample count, and is imported inside the functions that build them:
+Sigma, U(k), its polynomials and the expansion's terms.  The edge lengths
+are a tuple of Python floats, so building an instance, the combinatorial
+commands and the pseudo-orbit terms never load numpy; the routes that do
+read the lengths through `np.asarray`.  Seeded draws come from `_random`,
+Python's own Mersenne Twister, so no path loads `numpy.random`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -79,46 +82,45 @@ def assemble_sigma(graph: QNaryGraph) -> np.ndarray:
     return entries
 
 
-def _random(seed: int, size: int) -> np.ndarray:
+def _random(seed: int, size: int) -> array.array:
     """The first `size` draws of `random.Random(seed).random()`, Python's
-    Mersenne Twister (Matsumoto & Nishimura 1998), as doubles on [0, 1).
-    CPython keeps this sequence for an integer seed across versions."""
+    Mersenne Twister (Matsumoto & Nishimura 1998), as Python floats on
+    [0, 1), packed as doubles.  CPython keeps this sequence for an integer
+    seed across versions."""
+    import array
     import itertools
     import random
-
-    import numpy as np
 
     seed = operator.index(seed)
     if seed < 0:  # random.Random would take the absolute value
         raise ValueError(f"expected non-negative integer, got {seed}")
     draw = random.Random(seed).random
-    return np.fromiter(itertools.starmap(draw, itertools.repeat((), size)), float, size)
+    return array.array("d", itertools.starmap(draw, itertools.repeat((), size)))
 
 
 class SpectralInstance(_Frozen):
-    """A quantized graph: its topology, the read-only array of its E edge
-    lengths, and the seed that drew them.  Sigma is
+    """A quantized graph: its topology, the tuple of its E edge lengths (in
+    edge order, Python floats), and the seed that drew them.  Sigma is
     `assemble_sigma(graph)`.  Instances compare by identity."""
 
     __slots__ = ("graph", "lengths", "seed")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, graph: QNaryGraph, lengths: np.ndarray, seed: int):
+    def __init__(self, graph: QNaryGraph, lengths: tuple[float, ...], seed: int):
         self._set(graph, lengths, seed)
 
 
 def build_instance(q: int, m: int, seed: int) -> SpectralInstance:
     """The order-m q-nary graph with E i.i.d. edge lengths uniform on [1, 2),
-    drawn from the seed's stream (`_random`) into a read-only array.
+    1 + u over the seed's first E draws u (`_random`), held as a tuple.
 
     The same seed reproduces the same lengths bit for bit.  Random draws are
     rationally independent with probability 1, which is the premise of the
     degeneracy-grouped wavenumber average.
     """
     graph = build_graph(q, m)
-    lengths = 1.0 + _random(seed, graph.num_edges)
-    lengths.setflags(write=False)
+    lengths = tuple([1.0 + u for u in _random(seed, graph.num_edges)])
     return SpectralInstance(graph, lengths, int(seed))
 
 
@@ -128,7 +130,7 @@ def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
     import numpy as np
 
     k = _check_phase(k, 1)
-    phases = np.exp(1j * k * inst.lengths)
+    phases = np.exp(1j * k * np.asarray(inst.lengths))
     return phases[:, None] * assemble_sigma(inst.graph)
 
 
@@ -300,7 +302,10 @@ def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndar
     import numpy as np
 
     walks, terms = _pseudo_orbit_terms(inst.graph.q, inst.graph.m, n)
-    orbit_lengths = [float(sum(inst.lengths[e] for e in edges)) for edges in walks]
+    # left to right, whatever the Python version's sum() does with floats
+    ell = inst.lengths
+    orbit_lengths = [functools.reduce(operator.add, [ell[e] for e in edges], 0.0)
+                     for edges in walks]
     amps, lengths = [], []
     for item, amp in terms:
         length = 0.0
@@ -331,6 +336,7 @@ def coeff_from_pseudo_orbits(n: int, inst: SpectralInstance, k: float) -> comple
 
     n = _check_index(n, inst.graph.num_edges)
     k = _check_phase(k, n)
-    phase = np.exp(1j * k * inst.lengths).tolist() if n else []  # U(k)'s; a_0 reads none
+    # U(k)'s phases; a_0 reads none
+    phase = np.exp(1j * k * np.asarray(inst.lengths)).tolist() if n else []
     groups = _edge_groups(inst.graph.q, inst.graph.m, n)
     return complex(sum(A * math.prod([phase[e] for e in key]) for key, A in groups.items()))

@@ -39,10 +39,16 @@ Each DP state carries a degree floor, `need`, that prunes the sets which can
 no longer balance within D edges, and each vertex weight comes from a
 pure-Python elimination on its <= q x q minor of the DFT table
 (`quantum._dft_table`), so no exact value depends on LAPACK or on a complex
-numpy kernel.  numpy holds only the DP's arrays, sized by its live states,
-and the sampler's, sized by E and the sample count: at a state cap of 0 the
-DP gives up before numpy is imported, and the grouping never imports it.
-The value, its route and the refusal depend on (q, m, n) alone, so
+numpy kernel.  Where numpy is already loaded the DP runs in numpy arrays
+from its first step.  Otherwise it starts in pure Python, states as tuples,
+and once its live states pass `_NUMPY_STATES` it moves them, in order, into
+numpy arrays and carries on there, where a step costs less per state.  The
+Python merge sums each run of states the way numpy's `add.reduceat` does
+(`_run_sum`), so the values do not depend on where the DP moved.  The caps
+are checked before the move, so a DP that stays small or gives up below it
+never imports numpy, and neither does the grouping; the sampler's arrays,
+sized by E and the sample count, are the other use of numpy here.  The
+value, its route and the refusal depend on (q, m, n) alone, so
 `variance_report` builds the instance only to sample.
 
 A Monte-Carlo estimator over uniform k samples cross-checks the pipeline,
@@ -57,6 +63,9 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
+import operator
+import sys
 
 from .debruijn import build_graph
 from .quantum import (
@@ -126,7 +135,7 @@ def _dp_variances(q: int, m: int, depth: int) -> tuple[float, ...] | None:
     # the DP's work is at most E * max_states < budget / depth: past it only the state cap binds
     max_work = budget if over else count_strictly_decreasing(q, depth)
     variances = _balanced_subset_variances(q, m, depth, max_work, budget // (E * (depth + 1)))
-    return None if variances is None else tuple(variances.tolist())
+    return None if variances is None else tuple(variances)
 
 
 def _grouped_variance(q: int, m: int, n: int) -> float:
@@ -227,9 +236,52 @@ def _minor_weight(dft: list, rows: list[int], cols: list[int]) -> float:
     return abs(det) ** 2
 
 
+# live states past which the balanced-set DP moves them into numpy arrays: below it a
+# pure-Python step costs about what numpy's fixed cost per call does, and a DP that
+# stays below it, as the (2, 4) sweep does at 34, never imports numpy
+_NUMPY_STATES = 128
+
+
+def _numpy_loaded() -> bool:
+    """Whether numpy is imported already, so that the DP's arrays cost it
+    no import: then the DP runs in them from its first step."""
+    return "numpy" in sys.modules
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    """numpy's pairwise_sum of at least 8 terms, bit for bit: 8 accumulators
+    up to 128 terms, halves on multiples of 8 above."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    r, tail = xs[:8], n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += xs[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[tail:]:
+        total += x
+    return total
+
+
+def _run_sum(rows: list[list[float]]) -> list[float]:
+    """`np.add.reduceat` of one run of rows, bit for bit: per column, the
+    first row's entry plus numpy's pairwise sum of the others', a plain loop
+    below 8 of them."""
+    first, *rest = rows
+    if len(rest) < 8:
+        total = rest[0]  # numpy's loop starts at -0.0, and -0.0 + x is x
+        for row in rest[1:]:
+            total = [x + y for x, y in zip(total, row)]
+    else:
+        total = [_pairwise_sum(list(column)) for column in zip(*rest)]
+    return [x + y for x, y in zip(first, total)]
+
+
 def _balanced_subset_variances(
     q: int, m: int, d: int, max_work: int, max_states: int
-) -> np.ndarray | None:
+) -> list[float] | None:
     """Var(a_0..a_d) of the order-m q-nary graph, from balanced edge sets.
 
     Var(a_n) is the sum over n-edge sets S of |det Sigma[S,S]|^2.  The minor
@@ -244,100 +296,173 @@ def _balanced_subset_variances(
     on the <= q x q minor, once per mask and call (a dict of the masks met,
     read once per state), so no value depends on LAPACK.
 
-    A state's int64 row in `aux` holds `need`, then |B_v| - |C_v| per slot.
-    need is its lowest non-zero degree plus sum_v |B_v - C_v| / 2 over the
-    open vertices, the fewest edges that could balance every vertex (the sum
-    is even: every edge adds to one B and one C, and closed vertices are
+    A state also holds `need`, then |B_v| - |C_v| per slot.  need is its
+    lowest non-zero degree plus sum_v |B_v - C_v| / 2 over the open
+    vertices, the fewest edges that could balance every vertex (the sum is
+    even: every edge adds to one B and one C, and closed vertices are
     balanced).  Taking edge o -> t adds (|B_o| <= |C_o|) + (|B_t| >= |C_t|)
     to it, a loop 1, and a merge keeps the minimum.  A state is dropped when
-    its need exceeds d or a vertex can no longer balance, tested on the
-    edge's two end columns wherever the bound can fail.
+    its need exceeds d or a vertex can no longer balance.
+
+    States start as tuples (code, need, per-slot |B| - |C|, polynomial),
+    taken ones after kept ones, stably sorted by code at each merge.  Once
+    more than `_NUMPY_STATES` are live at a step, or from the first step
+    where numpy is loaded already, they move in that order into numpy
+    arrays: codes, int64 rows `aux` of need and the slots, and the
+    polynomials, where the same steps test the bounds only on the edge's two
+    end columns wherever they can fail.  Both merges sum a run as
+    `np.add.reduceat` does, so the values do not depend on the move.
 
     Returns None once the live states exceed max_states or their running
-    sum over the steps exceeds max_work.
+    sum over the steps exceeds max_work; both are checked before the move.
     """
     if max_states < 1:
         return None  # the empty set alone is one live state
-    import numpy as np
-
     steps, width = _edge_schedule(q, m)
     bits, letters = 2 * q, (1 << q) - 1
     vertex = (1 << bits) - 1
     dft = _dft_table(q)
-    # object codes hold Python ints when the slots outgrow 63 bits
-    codes = np.zeros(1, dtype=np.int64 if width * bits < 63 else object)
-    aux = np.zeros((1, width + 1), dtype=np.int64)
-    polys = np.eye(1, d + 1)
     weight: dict[int, float] = {}  # of each mask met so far
+    least: dict[int, int] = {}  # the least letter shift of each B or C met so far
 
-    def passes(tests: list, *ranges: tuple) -> np.ndarray:
-        # the tests, and each bound of low <= x <= high that x, known in lo..hi, can fail
-        for x, low, high, lo, hi in ranges:
-            tests += [low <= x] if low > lo else []
-            tests += [x <= high] if high < hi else []
-        out = tests[0] if tests else np.ones(len(codes), dtype=bool)
-        for test in tests[1:]:
-            out &= test
-        return out
+    def weigh(masks: list[int]) -> None:
+        for x in set(masks).difference(weight):
+            B = [j for j in range(q) if x >> j & 1]
+            C = [j for j in range(q) if x >> (q + j) & 1]
+            weight[x] = _minor_weight(dft, C, B)
 
-    def pick(rows: np.ndarray) -> tuple:
-        return codes[rows], aux.take(rows, axis=0), polys.take(rows, axis=0)
-
-    work = 0
-    for so, c, st, b, ((o_low, o_high), (t_low, t_high)), completed, closed in steps:
-        work += len(codes)
-        if len(codes) > max_states or work > max_work:
-            return None
-        loop = so == st
-        need, io, it = aux[:, 0], aux[:, 1 + so], aux[:, 1 + st]
-        # before the edge a slot's |B| - |C| lies in -(out-edges) .. in-edges processed
-        o_reach, t_reach = (o_high + 1 - q, q + o_low - loop), (t_high + loop - q, q + t_low - 1)
-        stay = passes([], (io, o_low, o_high, *o_reach), (it, t_low, t_high, *t_reach))
-        # taking it moves the origin's |B| - |C| by -u and the terminus's by u, 0 on a loop
-        u, grow = (0, need + 1) if loop else (1, need + (io <= 0) + (it >= 0))
-        take = passes([grow <= d], (io, o_low + u, o_high + u, *o_reach),
-                      (it, t_low - u, t_high - u, *t_reach))
-        kept, taken = stay.nonzero()[0], take.nonzero()[0]
-        split = len(kept)
-        codes, aux, polys = pick(np.concatenate([kept, taken]))
-        # taking the edge adds c to its origin's C and b to its terminus's B
-        codes[split:] |= (1 << (so * bits + q + c)) | (1 << (st * bits + b))
-        aux[split:, 0] = grow[taken]
-        aux[split:, 1 + so] -= 1
-        aux[split:, 1 + st] += 1
-        polys[split:, 1:] = polys[split:, :-1]
-        polys[split:, 0] = 0.0
+    def python_step(states, so, c, st, b, bounds, completed, closed):
+        (o_low, o_high), (t_low, t_high) = bounds
+        # taking the edge moves the origin's |B| - |C| by -u and the terminus's by u
+        u = int(so != st)
+        # and adds c to its origin's C and b to its terminus's B
+        add = (1 << (so * bits + q + c)) | (1 << (st * bits + b))
+        kept, taken = [], []
+        for state in states:
+            code, need, balance, poly = state
+            io, it = balance[so], balance[st]
+            if o_low <= io <= o_high and t_low <= it <= t_high:
+                kept.append(state)
+            grow = need + (io <= 0) + (it >= 0) if u else need + 1
+            if grow <= d and o_low + u <= io <= o_high + u and t_low - u <= it <= t_high - u:
+                moved = list(balance)
+                moved[so] -= 1
+                moved[st] += 1
+                taken.append((code | add, grow, tuple(moved), [0.0, *poly[:-1]]))
+        states = kept + taken
         if not completed and not closed:
-            continue
+            return states
         for s, offset in completed:
             # |det F[C,B]|^2 is unchanged when B or C shifts by a letter mod q
             shift = s * bits + offset
-            mask = (codes >> shift) & letters
-            least = mask
-            for r in range(1, q):
-                least = np.minimum(least, ((mask << r) | (mask >> (q - r))) & letters)
-            codes = codes ^ ((mask ^ least) << shift)
+            for i, state in enumerate(states):
+                mask = state[0] >> shift & letters
+                if mask not in least:
+                    least[mask] = min(((mask << r) | (mask >> (q - r))) & letters
+                                      for r in range(q))
+                if least[mask] != mask:
+                    states[i] = (state[0] ^ ((mask ^ least[mask]) << shift), *state[1:])
         for s in closed:
-            masks = ((codes >> (s * bits)) & vertex).tolist()
-            for x in set(masks).difference(weight):
-                B = [j for j in range(q) if x >> j & 1]
-                C = [j for j in range(q) if x >> (q + j) & 1]
-                weight[x] = _minor_weight(dft, C, B)
-            w = np.array([weight[x] for x in masks])
-            live = (w > 0).nonzero()[0]
-            if len(live) < len(w):
-                (codes, aux, polys), w = pick(live), w[live]
-            codes &= ~(vertex << (s * bits))
-            polys *= w[:, None]
-        codes, aux, polys = pick(codes.argsort(kind="stable"))
-        head = np.ones(len(codes), dtype=bool)
-        np.not_equal(codes[1:], codes[:-1], out=head[1:])
-        first = head.nonzero()[0]
-        if len(first) < len(codes):
-            # merged states share their |B| - |C| columns, and keep the least need
-            codes, aux = codes[first], np.minimum.reduceat(aux, first, axis=0)
-            polys = np.add.reduceat(polys, first, axis=0)
-    return polys[0]
+            shift = s * bits
+            masks = [state[0] >> shift & vertex for state in states]
+            weigh(masks)
+            # a weight of 1 leaves the polynomial's bits as they are
+            states = [(code & ~(vertex << shift), need, balance,
+                       poly if w == 1.0 else [x * w for x in poly])
+                      for (code, need, balance, poly), mask in zip(states, masks)
+                      if (w := weight[mask]) > 0]
+        states.sort(key=operator.itemgetter(0))
+        merged = []
+        for code, run in itertools.groupby(states, operator.itemgetter(0)):
+            run = list(run)
+            if len(run) > 1:
+                # merged states share their |B| - |C| slots, and keep the least need
+                need = min(state[1] for state in run)
+                run = [(code, need, run[0][2], _run_sum([state[3] for state in run]))]
+            merged += run
+        return merged
+
+    def numpy_steps(steps: list, states: list, work: int) -> list[float] | None:
+        import numpy as np
+
+        # object codes hold Python ints when the slots outgrow 63 bits
+        codes = np.array([state[0] for state in states],
+                         dtype=np.int64 if width * bits < 63 else object)
+        aux = np.array([(need, *balance) for _, need, balance, _ in states], dtype=np.int64)
+        polys = np.array([state[3] for state in states])
+
+        def passes(tests: list, *ranges: tuple) -> np.ndarray:
+            # the tests, and each bound of low <= x <= high that x, known in lo..hi, can fail
+            for x, low, high, lo, hi in ranges:
+                tests += [low <= x] if low > lo else []
+                tests += [x <= high] if high < hi else []
+            out = tests[0] if tests else np.ones(len(codes), dtype=bool)
+            for test in tests[1:]:
+                out &= test
+            return out
+
+        def pick(rows: np.ndarray) -> tuple:
+            return codes[rows], aux.take(rows, axis=0), polys.take(rows, axis=0)
+
+        for so, c, st, b, ((o_low, o_high), (t_low, t_high)), completed, closed in steps:
+            work += len(codes)
+            if len(codes) > max_states or work > max_work:
+                return None
+            loop = so == st
+            need, io, it = aux[:, 0], aux[:, 1 + so], aux[:, 1 + st]
+            # before the edge a slot's |B| - |C| lies in -(out-edges) .. in-edges processed
+            o_reach = (o_high + 1 - q, q + o_low - loop)
+            t_reach = (t_high + loop - q, q + t_low - 1)
+            stay = passes([], (io, o_low, o_high, *o_reach), (it, t_low, t_high, *t_reach))
+            u, grow = (0, need + 1) if loop else (1, need + (io <= 0) + (it >= 0))
+            take = passes([grow <= d], (io, o_low + u, o_high + u, *o_reach),
+                          (it, t_low - u, t_high - u, *t_reach))
+            kept, taken = stay.nonzero()[0], take.nonzero()[0]
+            split = len(kept)
+            codes, aux, polys = pick(np.concatenate([kept, taken]))
+            codes[split:] |= (1 << (so * bits + q + c)) | (1 << (st * bits + b))
+            aux[split:, 0] = grow[taken]
+            aux[split:, 1 + so] -= 1
+            aux[split:, 1 + st] += 1
+            polys[split:, 1:] = polys[split:, :-1]
+            polys[split:, 0] = 0.0
+            if not completed and not closed:
+                continue
+            for s, offset in completed:
+                shift = s * bits + offset
+                mask = (codes >> shift) & letters
+                low = mask
+                for r in range(1, q):
+                    low = np.minimum(low, ((mask << r) | (mask >> (q - r))) & letters)
+                codes = codes ^ ((mask ^ low) << shift)
+            for s in closed:
+                masks = ((codes >> (s * bits)) & vertex).tolist()
+                weigh(masks)
+                w = np.array([weight[x] for x in masks])
+                live = (w > 0).nonzero()[0]
+                if len(live) < len(w):
+                    (codes, aux, polys), w = pick(live), w[live]
+                codes &= ~(vertex << (s * bits))
+                polys *= w[:, None]
+            codes, aux, polys = pick(codes.argsort(kind="stable"))
+            head = np.ones(len(codes), dtype=bool)
+            np.not_equal(codes[1:], codes[:-1], out=head[1:])
+            first = head.nonzero()[0]
+            if len(first) < len(codes):
+                codes, aux = codes[first], np.minimum.reduceat(aux, first, axis=0)
+                polys = np.add.reduceat(polys, first, axis=0)
+        return polys[0].tolist()
+
+    states, work = [(0, 0, (0,) * width, [1.0] + [0.0] * d)], 0
+    for i, step in enumerate(steps):
+        live = len(states)
+        if live > max_states or work + live > max_work:
+            return None
+        if live > _NUMPY_STATES or _numpy_loaded():
+            return numpy_steps(steps[i:], states, work)
+        work += live
+        states = python_step(states, *step)
+    return states[0][3]
 
 
 # U(k) for a chunk of wavenumbers at a time: 64 draws at E = 16, 4 at E = 64
@@ -380,15 +505,15 @@ def _sampled_coefficients(
     E = inst.graph.num_edges
     _check_sampling(samples, k_max)
     _check_sample_size(samples, E)
-    ks = k_max * _random(seed, E + samples)[E:]
+    ks = k_max * np.asarray(_random(seed, E + samples))[E:]
     chunk = min(samples, max(1, _SAMPLE_CHUNK_BYTES // (16 * E * E)))
-    sigma = assemble_sigma(inst.graph)[:, :, None]
+    sigma, lengths = assemble_sigma(inst.graph)[:, :, None], np.asarray(inst.lengths)
     U, work = np.empty(E * E * chunk, dtype=complex), np.empty(E * E * chunk, dtype=complex)
     p = np.empty((E + 1) ** 2 * chunk, dtype=complex)
     out = np.empty((len(ns), samples), dtype=complex)
     for lo in range(0, samples, chunk):
         c = min(chunk, samples - lo)
-        phases = np.exp(1j * np.multiply.outer(inst.lengths, ks[lo : lo + c]))
+        phases = np.exp(1j * np.multiply.outer(lengths, ks[lo : lo + c]))
         H = np.multiply(phases[:, None, :], sigma, out=U[: E * E * c].reshape(E, E, c))
         polys = _char_polys(H, work, p[: (E + 1) ** 2 * c].reshape(E + 1, E + 1, c))
         out[:, lo : lo + c] = polys[:, ns].T

@@ -320,15 +320,16 @@ def count_strictly_decreasing_bruteforce(
 ) -> int:
     """Count strictly decreasing standard decompositions by enumerating all
     q^n words and running Duval's scan on each one, which stops at the first
-    repeated factor.  Independent of the closed form."""
+    repeated factor.  Independent of the closed form.  The budget bounds the
+    letters read, n q^n."""
     if q < 1:
         raise ValueError(f"alphabet size must be at least 1, got {q}")
     if n < 0:
         raise ValueError(f"word length must be non-negative, got {n}")
-    if _power_exceeds(q, n, budget):
-        raise BudgetExceededError(f"enumerating {q}^{n} words exceeds budget {budget}")
-    if n > budget:  # binds only at q = 1, where one word holds all n letters
-        raise BudgetExceededError(f"a word of {n} letters exceeds budget {budget}")
+    # n q^n > budget iff q^n > budget // n, for n >= 1
+    if _power_exceeds(q, n, budget // max(n, 1)):
+        raise BudgetExceededError(f"enumerating {q}^{n} words of {n} letters exceeds "
+                                  f"budget {budget}")
     return sum(map(_no_repeated_factor, itertools.product(range(q), repeat=n)))
 
 

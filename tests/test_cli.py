@@ -493,6 +493,17 @@ def test_refusal_of_a_huge_power_is_decided_by_bit_length(argv):
     assert "3^" in proc.stderr and "exceed" in proc.stderr
 
 
+@pytest.mark.parametrize("q,n", [(2, 23), (3, 15), (10, 8), (10000, 2)])
+def test_bruteforce_budget_counts_letters(q, n):
+    # the q^n words fit the budget of 10^8, their n q^n letters do not: counting
+    # 2^23 words takes about 11 s, 3^15 about 13 s
+    proc = run_fresh("-m", "qnary", "count", "--q", str(q), "--n", str(n),
+                     "--mode", "bruteforce", timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert f"{q}^{n} words of {n} letters exceeds budget 100000000" in proc.stderr
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 @pytest.mark.parametrize("mode", ["formula", "both"])
 def test_count_with_more_digits_than_int_to_str_formats_exits_3(capsys, mode, fmt):
@@ -860,6 +871,25 @@ def test_variance_refused_at_a_zero_state_cap_never_loads_numpy(m, n):
                      preexec_fn=limit_memory)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"] == [[3, []]]
+
+
+def test_variance_below_the_numpy_move_never_loads_numpy():
+    # a balanced-set DP runs in pure Python until it passes _NUMPY_STATES live states:
+    # the golden command (the grouping, once the DP gives up), the exact-sweep graph
+    # (34 at the DP's peak) and the refusal at a state cap of 40 need no array; the
+    # (3, 2) DP reaches 285, which shows the probe can see numpy
+    commands = [
+        ["variance", "--q", "2", "--m", "2", "--n", "4", "--samples", "0", "--seed", "7"],
+        ["variance", "--q", "2", "--m", "4", "--n", "12", "--samples", "0"],
+        ["variance", "--q", "2", "--m", "11", "--n", "600", "--samples", "0"],
+        ["variance", "--q", "3", "--m", "2", "--n", "13", "--samples", "0"],
+    ]
+    proc = run_fresh("-c", NUMPY_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results[:3] == [[0, []], [0, []], [3, []]]
+    code, loaded = results[3]
+    assert code == 0 and "numpy" in loaded
 
 
 NUMPY_RANDOM_PROBE = """

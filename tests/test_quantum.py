@@ -173,7 +173,7 @@ def test_sigma_equals_the_vertex_by_vertex_loop(q, m):
 def test_edge_lengths_golden_seed():
     inst = build_instance(2, 2, seed=7)
     lengths = inst.lengths
-    assert not lengths.flags.writeable
+    assert isinstance(lengths, tuple)  # immutable, and no numpy to build
     assert lengths[:3] == pytest.approx(
         [1.3238327648331625, 1.150849173924502, 1.6509344730398539], abs=0.0
     )
@@ -185,9 +185,9 @@ def test_edge_lengths_range_and_determinism():
     a = build_instance(3, 2, seed=42).lengths
     b = build_instance(3, 2, seed=42).lengths
     c = build_instance(3, 2, seed=43).lengths
-    assert np.all(a >= 1.0) and np.all(a < 2.0)
-    assert np.array_equal(a, b)
-    assert np.any(a != c)
+    assert len(a) == 27 and all(1.0 <= x < 2.0 for x in a)
+    assert a == b
+    assert any(x != y for x, y in zip(a, c))
 
 
 STREAM_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 17]
@@ -205,7 +205,7 @@ def test_stream_refuses_what_seed_sequence_refuses():
         _random(-1, 3)
     with pytest.raises(TypeError):
         _random(1.5, 3)
-    assert _random(0, 0).shape == (0,)
+    assert list(_random(0, 0)) == []
 
 
 # --- evolution operator -----------------------------------------------------------

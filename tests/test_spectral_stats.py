@@ -29,6 +29,7 @@ from qnary.spectral_stats import (
     _group_order,
     _grouped_variance,
     _minor_weight,
+    _run_sum,
     _sampled_coefficients,
     _sampled_variances,
     diagonal_variance,
@@ -172,7 +173,8 @@ def test_sampled_wavenumbers_are_not_the_edge_lengths(monkeypatch):
     variance_report(q, m, 4, seed, samples=200, k_max=k_max)
     sampled = np.concatenate(phases, axis=1)
     assert sampled.shape == (len(rows), 200)
-    echoes = np.exp(1j * np.multiply.outer(inst.lengths, k_max * (inst.lengths - 1)))
+    ell = np.asarray(inst.lengths)
+    echoes = np.exp(1j * np.multiply.outer(ell, k_max * (ell - 1)))
     gaps = np.abs(sampled[:, :, None] - echoes[:, None, :]).max(axis=0)
     assert gaps.min() > 1e-3
 
@@ -392,7 +394,7 @@ def test_coefficient_and_grouped_variance_read_one_edge_group_table(monkeypatch)
     inst, k = build_instance(2, 2, seed=3), 1e12
     groups = table(2, 2, 4)
     assert all(len(key) == 4 and list(key) == sorted(key) for key in groups)
-    phase = np.exp(1j * k * inst.lengths)
+    phase = np.exp(1j * k * np.asarray(inst.lengths))
     expected = sum(A * np.prod(phase[list(key)]) for key, A in groups.items())
     assert coeff_from_pseudo_orbits(4, inst, k) == pytest.approx(expected, abs=1e-15)
     assert _grouped_variance(2, 2, 4) == sum(abs(A) ** 2 for A in groups.values())
@@ -712,6 +714,127 @@ def test_balanced_subset_dp_with_codes_wider_than_64_bits():
     dp = _balanced_subset_variances(2, 7, 8, **FULL_DP)
     for n in range(9):
         assert dp[n] == pytest.approx(_grouped_variance(2, 7, n), abs=1e-12)
+
+
+# --- the pure-Python DP and its move into numpy arrays -----------------------------
+
+# where the DP moves its states into numpy arrays in a process without numpy: before
+# its first step, as it does wherever numpy is loaded, never, and once they pass the
+# module's own _NUMPY_STATES
+HANDOVERS = {"first step": 0, "never": 10**9, "default": spectral_stats._NUMPY_STATES}
+
+
+def under_each_handover(monkeypatch, run, handovers=tuple(HANDOVERS)):
+    # this process has numpy loaded, so the DP is told it has not
+    monkeypatch.setattr(spectral_stats, "_numpy_loaded", lambda: False)
+    results = []
+    for name in handovers:
+        monkeypatch.setattr(spectral_stats, "_NUMPY_STATES", HANDOVERS[name])
+        spectral_stats._dp_variances.cache_clear()
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize(
+    "q,m",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (5, 1), (6, 1),
+     (7, 1)],
+)
+def test_exact_variance_is_the_same_bits_wherever_the_dp_moves(q, m, monkeypatch):
+    # the grouping does not read the DP (and takes a minute at (6, 1) n = 9): a
+    # marker of n stands in for it, so every fall-back and refusal still shows
+    monkeypatch.setattr(spectral_stats, "_grouped_variance", lambda q, m, n: -float(n))
+    E = q ** (m + 1)
+
+    def sweep():
+        out = []
+        for d in range(E // 2 + 1):
+            for n in dict.fromkeys((d, E - d)):  # n and E - n read one DP
+                try:
+                    out.append(_exact_variance(q, m, n).hex())
+                except BudgetExceededError as refusal:
+                    out.append(str(refusal))
+        return out
+
+    # every DP of these three in pure Python takes tens of seconds; their DPs that
+    # never move are compared in test_full_dp_is_the_same_bits_wherever_it_moves
+    slow = (q, m) in [(3, 3), (6, 1), (7, 1)]
+    handovers = ("first step", "default") if slow else tuple(HANDOVERS)
+    first, *others = under_each_handover(monkeypatch, sweep, handovers)
+    assert all(other == first for other in others)
+
+
+@pytest.mark.parametrize(
+    "q,m,d",
+    [(2, 4, 16), (3, 2, 13), (4, 1, 8), (2, 5, 32), (5, 1, 12), (3, 3, 12), (6, 1, 7),
+     (4, 2, 10), (2, 7, 8)],
+)
+def test_full_dp_is_the_same_bits_wherever_it_moves(q, m, d, monkeypatch):
+    # at (2, 7) the 80-bit codes move into an object array
+    def run():
+        return [x.hex() for x in _balanced_subset_variances(q, m, d, **FULL_DP)]
+
+    first, never, default = under_each_handover(monkeypatch, run)
+    assert first == never == default
+
+
+def test_dp_starts_in_numpy_where_numpy_is_loaded(monkeypatch):
+    # this process has numpy loaded: the (3, 2) DP, which peaks at 285 live states,
+    # takes no pure-Python step, so no pure-Python merge runs, and the bits are
+    # those of a DP that starts without numpy and moves at _NUMPY_STATES
+    merges = []
+
+    def run_sum(rows):
+        merges.append(len(rows))
+        return _run_sum(rows)
+
+    monkeypatch.setattr(spectral_stats, "_run_sum", run_sum)
+    loaded = [x.hex() for x in _balanced_subset_variances(3, 2, 13, **FULL_DP)]
+    assert merges == []
+    monkeypatch.setattr(spectral_stats, "_numpy_loaded", lambda: False)
+    assert [x.hex() for x in _balanced_subset_variances(3, 2, 13, **FULL_DP)] == loaded
+    assert merges
+
+
+def test_run_sum_is_numpys_reduceat():
+    # one run of rows as np.add.reduceat sums it: the first row plus numpy's pairwise
+    # sum of the rest, a loop below 8, 8 accumulators to 128, halves above
+    rng = np.random.default_rng(5)
+    sequential_differs = False
+    for rows in [2, 3, 8, 9, 10, 16, 17, 129, 130, 136, 137, 255, 256, 257, 600]:
+        polys = rng.random((rows, 6)) * 10.0 ** rng.integers(-6, 7, (rows, 6))
+        expected = [x.hex() for x in np.add.reduceat(polys, [0], axis=0)[0].tolist()]
+        assert [x.hex() for x in _run_sum(polys.tolist())] == expected
+        sequential = [float(sum(column)).hex() for column in polys.T.tolist()]
+        sequential_differs |= sequential != expected
+    assert sequential_differs  # the order matters at these magnitudes
+
+
+EXACT_SWEEP_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+from qnary import build_instance, exact_grouped_variance
+from qnary.cli import main
+inst = build_instance(2, 4, 11)
+values = [exact_grouped_variance(inst, n).hex() for n in range(17)]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    main(["variance", "--q", "2", "--m", "2", "--n", "4", "--samples", "0", "--seed", "7"])
+golden = out.getvalue() == Path(sys.argv[1]).read_text()
+print(type(inst.lengths).__name__, golden, "numpy" in sys.modules, *values)
+"""
+
+
+def test_exact_sweep_and_golden_variance_never_import_numpy():
+    # the instance's lengths are a tuple, the (2, 4) DP peaks at 34 live states and the
+    # golden command reads the grouping: none of them needs an array
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    golden = str(Path(__file__).resolve().parent / "golden" / "variance_q2_m2_n4.json")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", EXACT_SWEEP_PROBE, golden], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["tuple", "True", "False", *EXACT_PINS[2, 4][1]]
 
 
 def greedy_group_order(q, m):

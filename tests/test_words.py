@@ -320,10 +320,10 @@ def test_bruteforce_count_examples():
 def test_bruteforce_budget_guard():
     with pytest.raises(BudgetExceededError):
         count_strictly_decreasing_bruteforce(2, 40)
-    # override allows small cases through
-    assert count_strictly_decreasing_bruteforce(2, 3, budget=8) == 4
-    with pytest.raises(BudgetExceededError):
-        count_strictly_decreasing_bruteforce(2, 3, budget=7)
+    # the budget counts letters read: the 2^3 words of 3 letters read 24
+    assert count_strictly_decreasing_bruteforce(2, 3, budget=24) == 4
+    with pytest.raises(BudgetExceededError, match=r"2\^3 words of 3 letters exceeds budget 23"):
+        count_strictly_decreasing_bruteforce(2, 3, budget=23)
     # at q = 1 there is one word, but it holds all n letters
     assert count_strictly_decreasing_bruteforce(1, 8, budget=8) == 0
     with pytest.raises(BudgetExceededError, match="9 letters exceeds budget 8"):
