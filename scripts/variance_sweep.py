@@ -10,10 +10,12 @@ moves relative to the diagonal constant (q-1)/q as the graph grows.
 """
 
 import argparse
+import itertools
 
 from qnary.debruijn import build_graph
 from qnary.quantum import build_instance
-from qnary.spectral_stats import _sampled_variances, variance_report
+from qnary._kernels import _sampled_variances
+from qnary.spectral_stats import variance_report
 
 
 def main():
@@ -38,14 +40,22 @@ def main():
             inst, range(n_max + 1), args.samples, args.k_max, args.seed
         )
         header += ["mc", "mc_se"]
-    print(",".join(header))
-    for n in range(0, n_max + 1):
-        r = variance_report(args.q, args.m, n, args.seed)
-        values = (r["diag"], r["exact_grouped"], r["cue_ref"], r["coe_ref"])
-        row = [str(n)] + [f"{x:.10g}" for x in values]
-        if args.samples:
-            row += [f"{mc[n]:.10g}", f"{mc_se[n]:.2g}"]
-        print(",".join(row))
+    # n and E - n read one DP at d = min(n, E - n), which keeps one result: visit
+    # the n by d, so each DP runs once.  A refusal depends on d alone, so the
+    # first comes at n = d, after every smaller n; the rows before it print.
+    rows = {}
+    try:
+        for n in sorted(range(n_max + 1), key=lambda n: min(n, E - n)):
+            r = variance_report(args.q, args.m, n, args.seed)
+            values = (r["diag"], r["exact_grouped"], r["cue_ref"], r["coe_ref"])
+            row = [str(n)] + [f"{x:.10g}" for x in values]
+            if args.samples:
+                row += [f"{mc[n]:.10g}", f"{mc_se[n]:.2g}"]
+            rows[n] = ",".join(row)
+    finally:
+        print(",".join(header))
+        for n in itertools.takewhile(rows.__contains__, range(n_max + 1)):
+            print(rows[n])
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -83,17 +82,21 @@ def _emit_lines(lines) -> None:
 
 
 def _emit_json(obj) -> None:
+    import json  # only JSON output pays for the import, as only CSV output pays for csv's
+
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _emit_json_list(value) -> None:
     # the text of _emit_json(value), one list item at a time: value is an
     # iterable of items, or a record whose last value is one
+    import json
+
     shell, items, pad = [], value, "\n  "
     if isinstance(value, dict):
         *_, (key, items) = value.items()
         shell, pad = {**value, key: []}, "\n    "
-    quoted = (_json_item(x, pad) for x in items)
+    quoted = (_json_item(x, pad, json.dumps) for x in items)
     first = next(quoted, None)
     if first is None:
         _emit_json(shell)
@@ -104,16 +107,16 @@ def _emit_json_list(value) -> None:
         _emit(itertools.chain([f"{head}[{pad}{first}"], rest, [f"{pad[:-2]}]{tail}\n"]))
 
 
-def _json_item(item, pad: str) -> str:
+def _json_item(item, pad: str, dumps) -> str:
     # json.dumps(item, indent=2) with its lines joined by pad, for a string or
-    # a list of strings: the strings go through json's C encoder, where the
-    # indented encoder is pure Python
+    # a list of strings: the strings go through json's C encoder (dumps), where
+    # the indented encoder is pure Python
     if isinstance(item, str):
-        return json.dumps(item)
+        return dumps(item)
     if not item:
         return "[]"
     inner = pad + "  "
-    return f"[{inner}{(',' + inner).join(map(json.dumps, item))}{pad}]"
+    return f"[{inner}{(',' + inner).join(map(dumps, item))}{pad}]"
 
 
 def _emit_csv(header, rows) -> None:

@@ -19,16 +19,17 @@ Amplitudes are read by the orbit's letters from `_dft_table`, the DFT as
 rows of Python complex that `math` computes and `dft_matrix` wraps.
 
 The direct route costs O(E^3) per matrix and takes a stack of matrices with
-the sample axis last, so the Monte-Carlo sampler in `spectral_stats` reduces
-a chunk of wavenumbers, about 256 KiB of U(k), in one call.  The orbit
-route reads U(k)'s own per-edge phases, so the routes agree to rounding at
-every k; `expansion_terms`, for many k at once, rounds one phase per pseudo
-orbit, an error that grows with k.  numpy holds only arrays sized by E or
-by the sample count, and is imported inside the functions that build them:
-Sigma, U(k), its polynomials and the expansion's terms.  The edge lengths
-are a tuple of Python floats, so building an instance, the combinatorial
-commands and the pseudo-orbit terms never load numpy; the routes that do
-read the lengths through `np.asarray`.  Seeded draws come from `_random`,
+the sample axis last (`_kernels._char_polys`), so the Monte-Carlo sampler
+reduces a chunk of wavenumbers, about 256 KiB of U(k), in one call.  The
+orbit route reads U(k)'s own per-edge phases, so the routes agree to
+rounding at every k; `expansion_terms`, for many k at once, rounds one
+phase per pseudo orbit, an error that grows with k.  numpy holds only
+arrays sized by E or by the sample count: Sigma, U(k), its polynomials and
+the expansion's terms.  The functions that build them reach numpy only
+through `_kernels`, on their call.  The edge lengths are a tuple of Python
+floats, so building an instance, the combinatorial commands and the
+pseudo-orbit terms never load numpy; the routes that do read the lengths
+through `np.asarray`.  Seeded draws come from `_random`,
 Python's own Mersenne Twister, so no path loads `numpy.random`.
 """
 
@@ -46,7 +47,7 @@ DEFAULT_MAX_CHARPOLY_DIM = 64
 
 def dft_matrix(q: int) -> np.ndarray:
     """The unitary DFT matrix with entries omega^(jk) / sqrt(q), omega = e^(2 pi i / q)."""
-    import numpy as np
+    from ._kernels import np
 
     if q < 1:
         raise ValueError(f"size must be at least 1, got {q}")
@@ -70,7 +71,7 @@ def assemble_sigma(graph: QNaryGraph) -> np.ndarray:
     first letter of the incoming edge and c the last letter of the outgoing
     one.  The result is unitary (one DFT block per vertex).
     """
-    import numpy as np
+    from ._kernels import np
 
     q = graph.q
     V, E = graph.num_vertices, graph.num_edges
@@ -127,7 +128,7 @@ def build_instance(q: int, m: int, seed: int) -> SpectralInstance:
 def evolution_operator(inst: SpectralInstance, k: float) -> np.ndarray:
     """U(k) = diag(e^{i k l_e}) Sigma, unitary for every real k with 2|k|
     finite (`_check_phase`)."""
-    import numpy as np
+    from ._kernels import np
 
     k = _check_phase(k, 1)
     phases = np.exp(1j * k * np.asarray(inst.lengths))
@@ -171,10 +172,10 @@ class CharPolyCoefficients(_Frozen):
 
 def char_poly_direct(U: np.ndarray) -> CharPolyCoefficients:
     """Characteristic polynomial coefficients of one square matrix, by the
-    Hessenberg reduction and La Budde's recurrence of `_char_polys`; the
-    leading coefficient comes out exactly 1.
+    Hessenberg reduction and La Budde's recurrence of
+    `_kernels._char_polys`; the leading coefficient comes out exactly 1.
     """
-    import numpy as np
+    from ._kernels import _char_polys, np
 
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
@@ -187,68 +188,6 @@ def char_poly_direct(U: np.ndarray) -> CharPolyCoefficients:
     a = _char_polys(U[:, :, None].copy(), work, p)[0]
     a.setflags(write=False)
     return CharPolyCoefficients(a)
-
-
-def _char_polys(H: np.ndarray, work: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Characteristic polynomials of a stack of N x N matrices, the sample
-    axis last: H has shape (N, N, c), and row s of the (c, N+1) result holds
-    the coefficients of det(xi I - H[:, :, s]), a[n] multiplying xi^(N-n).
-
-    Householder reflections P = I - v v^H, |v|^2 = 2, reduce each matrix A
-    to upper Hessenberg form P...A...P by unitary similarity.  La Budde's
-    recurrence then gives the polynomial p_i of H's leading i x i block,
-
-        p_i = (xi - H[i-1,i-1]) p_(i-1)
-              - sum_(r < i-1) H[r,i-1] H[r+1,r] ... H[i-1,i-2] p_r,
-
-    O(N^3) in all (Rehman & Ipsen, "La Budde's method for computing
-    characteristic polynomials", 2011).  Every step is one broadcast over
-    the sample axis; the leading coefficient comes out exactly 1.
-
-    The caller owns the memory: H is reduced in place, every large product
-    goes to the flat buffer `work` (at least N*N*c entries), and p, of shape
-    (N+1, N+1, c), takes the polynomials.  So a caller that reuses them
-    allocates nothing of size N*N*c per stack.
-    """
-    import numpy as np
-
-    N, c = H.shape[0], H.shape[2]
-
-    def product(*shape):
-        # a C-contiguous view at the front of work: a fresh temporary's layout
-        return work[: math.prod(shape)].reshape(shape)
-
-    for j in range(N - 2):
-        # v = x + e^(i arg x_0) |x| e_1 maps column j below the diagonal onto e_1
-        x = H[j + 1 :, j]
-        size = np.abs(x[0])
-        phase = np.divide(x[0], size, out=np.ones(c, dtype=complex), where=size > 0)
-        v = x.copy()
-        v[0] += phase * np.sqrt((x.real**2 + x.imag**2).sum(axis=0))
-        norm2 = (v.real**2 + v.imag**2).sum(axis=0)
-        # a zero column needs no reflection: v = 0 is P = I
-        v *= np.sqrt(np.divide(2.0, norm2, out=np.zeros(c), where=norm2 > 0))
-        vc = v.conj()
-        # H[j+1:, j:] -= v (v^H H[j+1:, j:]), then H[:, j+1:] -= (H[:, j+1:] v) v^H
-        rows = H[j + 1 :, j:]
-        t = np.multiply(vc[:, None], rows, out=product(*rows.shape))
-        rows -= np.multiply(v[:, None], t.sum(axis=0), out=t)
-        cols = H[:, j + 1 :]
-        t = np.multiply(cols, v, out=product(*cols.shape))
-        cols -= np.multiply(t.sum(axis=1)[:, None], vc, out=t)
-    # p[i, t] is the xi^t coefficient of p_i
-    p.fill(0)
-    p[0, 0] = 1.0
-    chain = np.zeros((0, c), dtype=complex)  # chain[r] = H[r+1,r] ... H[i-1,i-2]
-    for i in range(1, N + 1):
-        p[i, 1 : i + 1] = p[i - 1, :i]
-        p[i, :i] -= H[i - 1, i - 1] * p[i - 1, :i]
-        if i >= 2:
-            chain = np.concatenate([chain, np.ones((1, c))]) * H[i - 1, i - 2]
-            weights = H[: i - 1, i - 1] * chain
-            t = np.multiply(weights[:, None], p[: i - 1, : i - 1], out=product(i - 1, i - 1, c))
-            p[i, : i - 1] -= t.sum(axis=0)
-    return np.ascontiguousarray(p[N, ::-1].T)
 
 
 def orbit_amplitude(orbit: Word, inst: SpectralInstance) -> complex:
@@ -299,7 +238,7 @@ def expansion_terms(inst: SpectralInstance, n: int) -> tuple[np.ndarray, np.ndar
     n, where weights[i] = (-1)^(orbit count) * amplitude.  Each call
     enumerates the pseudo orbits anew; the arrays are read-only.
     """
-    import numpy as np
+    from ._kernels import np
 
     walks, terms = _pseudo_orbit_terms(inst.graph.q, inst.graph.m, n)
     # left to right, whatever the Python version's sum() does with floats
@@ -332,7 +271,7 @@ def _edge_groups(q: int, m: int, n: int) -> dict[tuple[int, ...], complex]:
 
 def coeff_from_pseudo_orbits(n: int, inst: SpectralInstance, k: float) -> complex:
     """a_n = sum over the `_edge_groups` g of length n of A_g prod_(e in g) e^(i k l_e)."""
-    import numpy as np
+    from ._kernels import np
 
     n = _check_index(n, inst.graph.num_edges)
     k = _check_phase(k, n)

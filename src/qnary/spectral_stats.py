@@ -55,8 +55,9 @@ A Monte-Carlo estimator over uniform k samples cross-checks the pipeline,
 and circular-ensemble reference values (CUE = 1, COE = 1 + n(E-n)/(E+1))
 provide the random-matrix comparison point.
 
-numpy is imported inside the functions that compute, as in `quantum`, so
-importing the package does not load it.
+As in `quantum`, numpy is reached only through `_kernels`, which holds the
+DP's array steps and the sampler, from inside the functions that compute:
+importing the package neither loads numpy nor compiles those kernels.
 """
 
 from __future__ import annotations
@@ -70,14 +71,11 @@ import sys
 from .debruijn import build_graph
 from .quantum import (
     SpectralInstance,
-    _char_polys,
     _check_dimension,
     _check_index,
     _check_phase,
     _dft_table,
     _edge_groups,
-    _random,
-    assemble_sigma,
     build_instance,
 )
 from .words import (
@@ -309,9 +307,10 @@ def _balanced_subset_variances(
     more than `_NUMPY_STATES` are live at a step, or from the first step
     where numpy is loaded already, they move in that order into numpy
     arrays: codes, int64 rows `aux` of need and the slots, and the
-    polynomials, where the same steps test the bounds only on the edge's two
-    end columns wherever they can fail.  Both merges sum a run as
-    `np.add.reduceat` does, so the values do not depend on the move.
+    polynomials, where the same steps (`_kernels._balanced_steps`) test the
+    bounds only on the edge's two end columns wherever they can fail.  Both
+    merges sum a run as `np.add.reduceat` does, so the values do not depend
+    on the move.
 
     Returns None once the live states exceed max_states or their running
     sum over the steps exceeds max_work; both are checked before the move.
@@ -382,91 +381,19 @@ def _balanced_subset_variances(
             merged += run
         return merged
 
-    def numpy_steps(steps: list, states: list, work: int) -> list[float] | None:
-        import numpy as np
-
-        # object codes hold Python ints when the slots outgrow 63 bits
-        codes = np.array([state[0] for state in states],
-                         dtype=np.int64 if width * bits < 63 else object)
-        aux = np.array([(need, *balance) for _, need, balance, _ in states], dtype=np.int64)
-        polys = np.array([state[3] for state in states])
-
-        def passes(tests: list, *ranges: tuple) -> np.ndarray:
-            # the tests, and each bound of low <= x <= high that x, known in lo..hi, can fail
-            for x, low, high, lo, hi in ranges:
-                tests += [low <= x] if low > lo else []
-                tests += [x <= high] if high < hi else []
-            out = tests[0] if tests else np.ones(len(codes), dtype=bool)
-            for test in tests[1:]:
-                out &= test
-            return out
-
-        def pick(rows: np.ndarray) -> tuple:
-            return codes[rows], aux.take(rows, axis=0), polys.take(rows, axis=0)
-
-        for so, c, st, b, ((o_low, o_high), (t_low, t_high)), completed, closed in steps:
-            work += len(codes)
-            if len(codes) > max_states or work > max_work:
-                return None
-            loop = so == st
-            need, io, it = aux[:, 0], aux[:, 1 + so], aux[:, 1 + st]
-            # before the edge a slot's |B| - |C| lies in -(out-edges) .. in-edges processed
-            o_reach = (o_high + 1 - q, q + o_low - loop)
-            t_reach = (t_high + loop - q, q + t_low - 1)
-            stay = passes([], (io, o_low, o_high, *o_reach), (it, t_low, t_high, *t_reach))
-            u, grow = (0, need + 1) if loop else (1, need + (io <= 0) + (it >= 0))
-            take = passes([grow <= d], (io, o_low + u, o_high + u, *o_reach),
-                          (it, t_low - u, t_high - u, *t_reach))
-            kept, taken = stay.nonzero()[0], take.nonzero()[0]
-            split = len(kept)
-            codes, aux, polys = pick(np.concatenate([kept, taken]))
-            codes[split:] |= (1 << (so * bits + q + c)) | (1 << (st * bits + b))
-            aux[split:, 0] = grow[taken]
-            aux[split:, 1 + so] -= 1
-            aux[split:, 1 + st] += 1
-            polys[split:, 1:] = polys[split:, :-1]
-            polys[split:, 0] = 0.0
-            if not completed and not closed:
-                continue
-            for s, offset in completed:
-                shift = s * bits + offset
-                mask = (codes >> shift) & letters
-                low = mask
-                for r in range(1, q):
-                    low = np.minimum(low, ((mask << r) | (mask >> (q - r))) & letters)
-                codes = codes ^ ((mask ^ low) << shift)
-            for s in closed:
-                masks = ((codes >> (s * bits)) & vertex).tolist()
-                weigh(masks)
-                w = np.array([weight[x] for x in masks])
-                live = (w > 0).nonzero()[0]
-                if len(live) < len(w):
-                    (codes, aux, polys), w = pick(live), w[live]
-                codes &= ~(vertex << (s * bits))
-                polys *= w[:, None]
-            codes, aux, polys = pick(codes.argsort(kind="stable"))
-            head = np.ones(len(codes), dtype=bool)
-            np.not_equal(codes[1:], codes[:-1], out=head[1:])
-            first = head.nonzero()[0]
-            if len(first) < len(codes):
-                codes, aux = codes[first], np.minimum.reduceat(aux, first, axis=0)
-                polys = np.add.reduceat(polys, first, axis=0)
-        return polys[0].tolist()
-
     states, work = [(0, 0, (0,) * width, [1.0] + [0.0] * d)], 0
     for i, step in enumerate(steps):
         live = len(states)
         if live > max_states or work + live > max_work:
             return None
         if live > _NUMPY_STATES or _numpy_loaded():
-            return numpy_steps(steps[i:], states, work)
+            from ._kernels import _balanced_steps
+
+            return _balanced_steps(q, d, width, max_work, max_states, weigh, weight,
+                                   steps[i:], states, work)
         work += live
         states = python_step(states, *step)
     return states[0][3]
-
-
-# U(k) for a chunk of wavenumbers at a time: 64 draws at E = 16, 4 at E = 64
-_SAMPLE_CHUNK_BYTES = 2**18
 
 
 def _check_sampling(samples: int, k_max: float) -> None:
@@ -486,52 +413,6 @@ def _check_sample_size(samples: int, E: int) -> None:
                                   f"budget {DEFAULT_ENUMERATION_BUDGET}")
 
 
-def _sampled_coefficients(
-    inst: SpectralInstance, ns, samples: int, k_max: float, seed: int
-) -> np.ndarray:
-    """The coefficients a_n, n in ns, at `samples` uniform k draws on
-    [0, k_max]: row i holds a_(ns[i]) at every draw.  Deterministic for a
-    given seed.
-
-    The draws are k_max times the seed's stream (`_random`) past the E
-    numbers `build_instance` takes as edge lengths.  Each chunk's U(k) is
-    one broadcast and its polynomials one `_char_polys` call; rows are
-    reproducible for this chunk rule, not bit-identical across chunk sizes.
-    U(k), the products and the polynomials live in three buffers allocated
-    once per call, not once per chunk.
-    """
-    import numpy as np
-
-    E = inst.graph.num_edges
-    _check_sampling(samples, k_max)
-    _check_sample_size(samples, E)
-    ks = k_max * np.asarray(_random(seed, E + samples))[E:]
-    chunk = min(samples, max(1, _SAMPLE_CHUNK_BYTES // (16 * E * E)))
-    sigma, lengths = assemble_sigma(inst.graph)[:, :, None], np.asarray(inst.lengths)
-    U, work = np.empty(E * E * chunk, dtype=complex), np.empty(E * E * chunk, dtype=complex)
-    p = np.empty((E + 1) ** 2 * chunk, dtype=complex)
-    out = np.empty((len(ns), samples), dtype=complex)
-    for lo in range(0, samples, chunk):
-        c = min(chunk, samples - lo)
-        phases = np.exp(1j * np.multiply.outer(lengths, ks[lo : lo + c]))
-        H = np.multiply(phases[:, None, :], sigma, out=U[: E * E * c].reshape(E, E, c))
-        polys = _char_polys(H, work, p[: (E + 1) ** 2 * c].reshape(E + 1, E + 1, c))
-        out[:, lo : lo + c] = polys[:, ns].T
-    return out
-
-
-def _sampled_variances(
-    inst: SpectralInstance, ns, samples: int, k_max: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample means of |a_n|^2, n in ns, and their standard errors, all from
-    one pass of the sampler; each n's values reduce on their own, so its
-    numbers do not depend on the other n."""
-    import numpy as np
-
-    values = np.abs(_sampled_coefficients(inst, ns, samples, k_max, seed)) ** 2
-    return values.mean(axis=1), values.std(axis=1, ddof=1) / np.sqrt(samples)
-
-
 def monte_carlo_variance(
     inst: SpectralInstance, n: int, samples: int, k_max: float, seed: int
 ) -> tuple[float, float]:
@@ -539,6 +420,8 @@ def monte_carlo_variance(
 
     Returns (sample mean, standard error); deterministic for a given seed.
     """
+    from ._kernels import _sampled_variances
+
     n = _check_index(n, inst.graph.num_edges)
     mean, error = _sampled_variances(inst, [n], samples, k_max, seed)
     return float(mean[0]), float(error[0])
@@ -552,7 +435,7 @@ def monte_carlo_coefficient_means(
     Returns (means, standard errors); the standard error combines real and
     imaginary scatter.  Averaged over k, every a_n with n >= 1 has mean zero.
     """
-    import numpy as np
+    from ._kernels import _sampled_coefficients, np
 
     coeffs = _sampled_coefficients(inst, range(inst.graph.num_edges + 1), samples, k_max, seed)
     means = coeffs.mean(axis=1)

@@ -914,6 +914,28 @@ def test_seeded_draws_never_import_numpy_random():
 
 
 @pytest.mark.parametrize(
+    "argv,json_output",
+    [
+        (["factorize", "0", "--q", "2"], False),  # the benchmark's set-up probe
+        (["count", "--q", "2", "--n", "8"], False),
+        (["lyndon", "list", "--q", "2", "--l", "4", "--format", "csv"], False),
+        (["variance", "--q", "2", "--m", "2", "--n", "4", "--samples", "0", "--format", "plain"],
+         False),
+        (["factorize", "0", "--q", "2", "--format", "json"], True),
+    ],
+)
+def test_only_json_output_imports_json(argv, json_output):
+    # as csv, json is imported on the first output in its format; none of these
+    # commands needs numpy or the array kernels that import it
+    proc = run_fresh("-X", "importtime", "-m", "qnary", *argv)
+    assert proc.returncode == 0, proc.stderr
+    modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    assert ("json" in modules) == json_output
+    assert not modules & {"numpy", "qnary._kernels"}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["variance", "--q", "2", "--m", "2", "--n", "4", "--samples", "200", "--seed", "7"],

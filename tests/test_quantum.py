@@ -20,9 +20,9 @@ from qnary.debruijn import (
     build_graph,
     primitive_pseudo_orbits,
 )
+from qnary._kernels import _char_polys
 from qnary.quantum import (
     CharPolyCoefficients,
-    _char_polys,
     _dft_table,
     _random,
     assemble_sigma,

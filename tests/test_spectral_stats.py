@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnary import quantum, spectral_stats
+from qnary import _kernels, quantum, spectral_stats
+from qnary._kernels import _char_polys, _sampled_coefficients, _sampled_variances
 from qnary.debruijn import _windows, build_graph, edge_multiplicities, primitive_pseudo_orbits
 from qnary.quantum import (
-    _char_polys,
     assemble_sigma,
     build_instance,
     coeff_from_pseudo_orbits,
@@ -30,8 +30,6 @@ from qnary.spectral_stats import (
     _grouped_variance,
     _minor_weight,
     _run_sum,
-    _sampled_coefficients,
-    _sampled_variances,
     diagonal_variance,
     exact_grouped_variance,
     monte_carlo_coefficient_means,
@@ -163,13 +161,13 @@ def test_sampled_wavenumbers_are_not_the_edge_lengths(monkeypatch):
     sigma = assemble_sigma(inst.graph)
     rows = np.arange(inst.graph.num_edges)
     cols = np.abs(sigma).argmax(axis=1)  # a nonzero entry of each row of Sigma
-    phases, char_polys = [], spectral_stats._char_polys
+    phases, char_polys = [], _kernels._char_polys
 
     def spy(H, work, out):
         phases.append(H[rows, cols, :] / sigma[rows, cols, None])
         return char_polys(H, work, out)
 
-    monkeypatch.setattr(spectral_stats, "_char_polys", spy)
+    monkeypatch.setattr(_kernels, "_char_polys", spy)
     variance_report(q, m, 4, seed, samples=200, k_max=k_max)
     sampled = np.concatenate(phases, axis=1)
     assert sampled.shape == (len(rows), 200)
@@ -203,7 +201,7 @@ def test_oversized_sample_is_refused_before_numpy_allocates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled past the refusal")
 
-    monkeypatch.setattr(spectral_stats, "_char_polys", refuse)
+    monkeypatch.setattr(_kernels, "_char_polys", refuse)
     inst = build_instance(2, 1, seed=0)
     samples = DEFAULT_ENUMERATION_BUDGET // 5 + 1  # E + 1 = 5 coefficients each
     with pytest.raises(BudgetExceededError, match="coefficients exceed budget"):
@@ -300,7 +298,7 @@ def test_exact_value_never_builds_sigma(monkeypatch):
 
     monkeypatch.setattr(spectral_stats, "_grouped_variance", spy)
     monkeypatch.setattr(quantum, "assemble_sigma", refuse)
-    monkeypatch.setattr(spectral_stats, "assemble_sigma", refuse)
+    monkeypatch.setattr(_kernels, "assemble_sigma", refuse)
     # an instance holds what its seed drew; the orbit routes read the DFT
     inst = build_instance(2, 2, seed=0)
     assert expansion_terms(inst, 4)[0].shape == (8,)
