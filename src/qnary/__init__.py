@@ -28,7 +28,6 @@ from .quantum import (
     build_instance,
     char_poly_direct,
     coeff_from_pseudo_orbits,
-    dft_matrix,
     evolution_operator,
     expansion_terms,
     orbit_amplitude,
@@ -59,7 +58,6 @@ __all__ = [
     "count_lyndon",
     "count_strictly_decreasing",
     "count_strictly_decreasing_bruteforce",
-    "dft_matrix",
     "diagonal_variance",
     "duval_factorize",
     "edge_multiplicities",

@@ -128,19 +128,12 @@ def _emit_csv(header, rows) -> None:
     _emit(map(writer.writerow, itertools.chain([header], rows)))
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
-
-
 def _require_printable_count(q: int, n: int) -> None:
     if shown := _strictly_decreasing_exceeds(q, n, 10**MAX_COUNT_DIGITS - 1):
         raise BudgetExceededError(f"count {shown} has more than {MAX_COUNT_DIGITS} digits")
 
 
 def _cmd_lyndon_list(args) -> int:
-    _require(args.q >= 1, f"--q must be at least 1, got {args.q}")
-    _require(args.l >= 1, f"--l must be at least 1, got {args.l}")
     words = (_display(t, args.q) for t in _lyndon_tuples_of_length(args.q, args.l))
     if args.format == "json":
         _emit_json_list(words)
@@ -152,7 +145,6 @@ def _cmd_lyndon_list(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    _require(args.q >= 1, f"--q must be at least 1, got {args.q}")
     word = Word.from_string(args.word, args.q)
     factorization = duval_factorize(word)
     strict = is_strictly_decreasing(factorization)
@@ -178,9 +170,6 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    _require(args.q >= 1, f"--q must be at least 1, got {args.q}")
-    _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
-    _require(args.budget >= 1, f"--budget must be at least 1, got {args.budget}")
     formula = bruteforce = None
     if args.mode in ("formula", "both"):
         _require_printable_count(args.q, args.n)
@@ -204,10 +193,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    _require(args.q >= 2, f"--q must be at least 2, got {args.q}")
-    _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
-    _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
-    _require(args.budget >= 1, f"--budget must be at least 1, got {args.budget}")
     words, items = _pseudo_orbit_tuples(args.q, args.n, budget=args.budget)
     shown = [_display(w, args.q) for w in words]
     orbits = ([shown[i] for i in item] for item in items)
@@ -224,10 +209,6 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    _require(args.q >= 2, f"--q must be at least 2, got {args.q}")
-    _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
-    _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
-    _require(args.budget >= 1, f"--budget must be at least 1, got {args.budget}")
     # refuse from q and m alone, before Sigma is assembled
     E = build_graph(args.q, args.m, budget=args.budget).num_edges
     # the pseudo orbits of lengths 0..E number q^E + 1, refused without
@@ -287,11 +268,6 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    _require(args.q >= 2, f"--q must be at least 2, got {args.q}")
-    _require(args.m >= 1, f"--m must be at least 1, got {args.m}")
-    _require(args.n >= 0, f"--n must be non-negative, got {args.n}")
-    _require(args.samples >= 0, f"--samples must be non-negative, got {args.samples}")
-    _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
     if not _power_exceeds(args.q, args.m + 1, args.n - 1):  # E < n: E is small then
         _check_index(args.n, args.q ** (args.m + 1))
     if args.samples != 0:
@@ -323,13 +299,15 @@ def _add_format(parser: argparse.ArgumentParser, default: str) -> None:
     )
 
 
+def _add_int(parser: argparse.ArgumentParser, flag: str, low: int, **kwargs) -> None:
+    # main refuses a value below low, checking the bounds in declaration order
+    parser.add_argument(flag, type=int, **kwargs)
+    parser.set_defaults(bounds=[*(parser.get_default("bounds") or ()), (flag, low)])
+
+
 def _add_budget(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_ENUMERATION_BUDGET,
-        help="enumeration budget override",
-    )
+    _add_int(parser, "--budget", 1, default=DEFAULT_ENUMERATION_BUDGET,
+             help="enumeration budget override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,49 +320,49 @@ def build_parser() -> argparse.ArgumentParser:
     lyndon = sub.add_parser("lyndon", help="Lyndon word utilities")
     lyndon_sub = lyndon.add_subparsers(dest="lyndon_command", required=True)
     lyndon_list = lyndon_sub.add_parser("list", help="list Lyndon words of one length")
-    lyndon_list.add_argument("--q", type=int, required=True, help="alphabet size")
-    lyndon_list.add_argument("--l", type=int, required=True, help="word length")
+    _add_int(lyndon_list, "--q", 1, required=True, help="alphabet size")
+    _add_int(lyndon_list, "--l", 1, required=True, help="word length")
     _add_format(lyndon_list, "plain")
     lyndon_list.set_defaults(func=_cmd_lyndon_list)
 
     factorize = sub.add_parser("factorize", help="standard decomposition of a word")
     factorize.add_argument("word", help="the word, e.g. 0110 (or comma-separated letters)")
-    factorize.add_argument("--q", type=int, required=True, help="alphabet size")
+    _add_int(factorize, "--q", 1, required=True, help="alphabet size")
     _add_format(factorize, "plain")
     factorize.set_defaults(func=_cmd_factorize)
 
     count = sub.add_parser("count", help="count strictly decreasing decompositions")
-    count.add_argument("--q", type=int, required=True, help="alphabet size")
-    count.add_argument("--n", type=int, required=True, help="word length")
+    _add_int(count, "--q", 1, required=True, help="alphabet size")
+    _add_int(count, "--n", 0, required=True, help="word length")
     count.add_argument("--mode", choices=("formula", "bruteforce", "both"), default="both")
     _add_format(count, "plain")
     _add_budget(count)
     count.set_defaults(func=_cmd_count)
 
     orbits = sub.add_parser("orbits", help="enumerate primitive pseudo orbits")
-    orbits.add_argument("--q", type=int, required=True, help="alphabet size")
-    orbits.add_argument("--m", type=int, required=True, help="graph order")
-    orbits.add_argument("--n", type=int, required=True, help="total topological length")
+    _add_int(orbits, "--q", 2, required=True, help="alphabet size")
+    _add_int(orbits, "--m", 1, required=True, help="graph order")
+    _add_int(orbits, "--n", 0, required=True, help="total topological length")
     _add_format(orbits, "plain")
     _add_budget(orbits)
     orbits.set_defaults(func=_cmd_orbits)
 
     coeffs = sub.add_parser("coeffs", help="characteristic polynomial coefficients")
-    coeffs.add_argument("--q", type=int, required=True, help="alphabet size")
-    coeffs.add_argument("--m", type=int, required=True, help="graph order")
+    _add_int(coeffs, "--q", 2, required=True, help="alphabet size")
+    _add_int(coeffs, "--m", 1, required=True, help="graph order")
     coeffs.add_argument("--k", type=float, required=True, help="wavenumber")
-    coeffs.add_argument("--seed", type=int, default=0, help="edge-length seed")
+    _add_int(coeffs, "--seed", 0, default=0, help="edge-length seed")
     coeffs.add_argument("--method", choices=("det", "orbits", "both"), default="both")
     _add_format(coeffs, "plain")
     _add_budget(coeffs)
     coeffs.set_defaults(func=_cmd_coeffs)
 
     variance = sub.add_parser("variance", help="coefficient variance report")
-    variance.add_argument("--q", type=int, required=True, help="alphabet size")
-    variance.add_argument("--m", type=int, required=True, help="graph order")
-    variance.add_argument("--n", type=int, required=True, help="coefficient index")
-    variance.add_argument("--seed", type=int, default=0, help="edge-length and sampling seed")
-    variance.add_argument("--samples", type=int, default=0, help="Monte-Carlo sample count")
+    _add_int(variance, "--q", 2, required=True, help="alphabet size")
+    _add_int(variance, "--m", 1, required=True, help="graph order")
+    _add_int(variance, "--n", 0, required=True, help="coefficient index")
+    _add_int(variance, "--samples", 0, default=0, help="Monte-Carlo sample count")
+    _add_int(variance, "--seed", 0, default=0, help="edge-length and sampling seed")
     variance.add_argument("--k-max", dest="k_max", type=float, default=1e4)
     _add_format(variance, "json")
     variance.set_defaults(func=_cmd_variance)
@@ -396,6 +374,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, low in args.bounds:
+            if (value := getattr(args, flag[2:])) < low:
+                floor = "be non-negative" if low == 0 else f"be at least {low}"
+                raise ValueError(f"{flag} must {floor}, got {value}")
         code = args.func(args)
         sys.stdout.flush()  # inside the try, so a reader gone by the last write is caught
         return code

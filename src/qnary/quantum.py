@@ -16,7 +16,7 @@ edges they traverse (`_edge_groups`, the table the exact variance sums),
 where A_g sums (-1)^(orbit count) * amplitude over the group, an orbit's
 amplitude the cyclic product of Sigma entries along its edge sequence.
 Amplitudes are read by the orbit's letters from `_dft_table`, the DFT as
-rows of Python complex that `math` computes and `dft_matrix` wraps.
+rows of Python complex that `math` computes; Sigma's blocks copy the same table.
 
 The direct route costs O(E^3) per matrix and takes a stack of matrices with
 the sample axis last (`_kernels._char_polys`), so the Monte-Carlo sampler
@@ -45,18 +45,10 @@ from .words import BudgetExceededError, Word, _Frozen
 DEFAULT_MAX_CHARPOLY_DIM = 64
 
 
-def dft_matrix(q: int) -> np.ndarray:
-    """The unitary DFT matrix with entries omega^(jk) / sqrt(q), omega = e^(2 pi i / q)."""
-    from ._kernels import np
-
-    if q < 1:
-        raise ValueError(f"size must be at least 1, got {q}")
-    return np.array(_dft_table(q))
-
-
 def _dft_table(q: int) -> list[list[complex]]:
-    """`dft_matrix(q)` as rows of Python complex, from `math` alone: the
-    float operations numpy's exp and divide perform, bit for bit."""
+    """The unitary q x q DFT, entries omega^(jk) / sqrt(q) with omega =
+    e^(2 pi i / q), as rows of Python complex from `math` alone: the float
+    operations numpy's exp and divide perform, bit for bit."""
     s, step = 1 / math.sqrt(q), 2 * math.pi / q
     phases = [[j * k % q * step for k in range(q)] for j in range(q)]
     return [[complex(s * math.cos(p), s * math.sin(p)) for p in row] for row in phases]
@@ -77,7 +69,7 @@ def assemble_sigma(graph: QNaryGraph) -> np.ndarray:
     V, E = graph.num_vertices, graph.num_edges
     # axes (v, c, b, v'): row v q + c is the out-edge v.c, column b V + v' the in-edge b.v'
     entries = np.zeros((V, q, q, V), dtype=complex)
-    entries[np.arange(V), :, :, np.arange(V)] = dft_matrix(q)
+    entries[np.arange(V), :, :, np.arange(V)] = _dft_table(q)
     entries = entries.reshape(E, E)
     entries.setflags(write=False)
     return entries

@@ -39,15 +39,8 @@ Each DP state carries a degree floor, `need`, that prunes the sets which can
 no longer balance within D edges, and each vertex weight comes from a
 pure-Python elimination on its <= q x q minor of the DFT table
 (`quantum._dft_table`), so no exact value depends on LAPACK or on a complex
-numpy kernel.  Where numpy is already loaded the DP runs in numpy arrays
-from its first step.  Otherwise it starts in pure Python, states as tuples,
-and once its live states pass `_NUMPY_STATES` it moves them, in order, into
-numpy arrays and carries on there, where a step costs less per state.  The
-Python merge sums each run of states the way numpy's `add.reduceat` does
-(`_run_sum`), so the values do not depend on where the DP moved.  The caps
-are checked before the move, so a DP that stays small or gives up below it
-never imports numpy, and neither does the grouping; the sampler's arrays,
-sized by E and the sample count, are the other use of numpy here.  The
+numpy kernel.  When and how the DP moves from pure Python into numpy
+arrays, with the same bits, is told at `_balanced_subset_variances`.  The
 value, its route and the refusal depend on (q, m, n) alone, so
 `variance_report` builds the instance only to sample.
 

@@ -310,6 +310,57 @@ def test_budget_below_one_is_an_argument_error(capsys, argv):
     assert err == f"error: --budget must be at least 1, got {argv[-1]}\n"
 
 
+# each subcommand's valid arguments, and its bounded options in the order they
+# are checked: (flag, lowest accepted value, how the refusal states it)
+BOUNDED_OPTIONS = {
+    "lyndon_list": (["lyndon", "list", "--q", "2", "--l", "3"],
+                    [("--q", 1, "at least 1"), ("--l", 1, "at least 1")]),
+    "factorize": (["factorize", "0", "--q", "2"], [("--q", 1, "at least 1")]),
+    "count": (["count", "--q", "2", "--n", "3"],
+              [("--q", 1, "at least 1"), ("--n", 0, "non-negative"),
+               ("--budget", 1, "at least 1")]),
+    "orbits": (["orbits", "--q", "2", "--m", "1", "--n", "3"],
+               [("--q", 2, "at least 2"), ("--m", 1, "at least 1"), ("--n", 0, "non-negative"),
+                ("--budget", 1, "at least 1")]),
+    "coeffs": (["coeffs", "--q", "2", "--m", "1", "--k", "1"],
+               [("--q", 2, "at least 2"), ("--m", 1, "at least 1"), ("--seed", 0, "non-negative"),
+                ("--budget", 1, "at least 1")]),
+    "variance": (["variance", "--q", "2", "--m", "2", "--n", "4"],
+                 [("--q", 2, "at least 2"), ("--m", 1, "at least 1"), ("--n", 0, "non-negative"),
+                  ("--samples", 0, "non-negative"), ("--seed", 0, "non-negative")]),
+}
+
+
+@pytest.mark.parametrize("command", BOUNDED_OPTIONS)
+def test_option_bounds_are_checked_in_declaration_order(capsys, monkeypatch, command):
+    base, bounds = BOUNDED_OPTIONS[command]
+    calls = []
+    monkeypatch.setattr(f"qnary.cli._cmd_{command}", lambda args: calls.append(args) or 0)
+
+    def argv(values):
+        args = list(base)
+        for flag, value in values.items():
+            if flag in args:
+                args[args.index(flag) + 1] = str(value)
+            else:
+                args += [flag, str(value)]
+        return args
+
+    # each option one below its bound, then it and every later one at once:
+    # the first of them is reported, before the command starts
+    for i, (flag, low, stated) in enumerate(bounds):
+        for values in ({flag: low - 1}, {f: lo - 3 for f, lo, _ in bounds[i:]}):
+            code, out, err = run(capsys, *argv(values))
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag} must be {stated}, got {values[flag]}\n"
+    assert calls == []
+    # each option at its bound, alone and all at once, reaches the command
+    for values in [*({flag: low} for flag, low, _ in bounds), {f: lo for f, lo, _ in bounds}]:
+        assert run(capsys, *argv(values)) == (0, "", "")
+        args = calls.pop()
+        assert all(getattr(args, flag[2:]) == low for flag, low in values.items())
+
+
 def test_orbits_q1_rejected(capsys):
     code, _, err = run(capsys, "orbits", "--q", "1", "--m", "1", "--n", "2")
     assert code == 2

@@ -29,7 +29,6 @@ from qnary.quantum import (
     build_instance,
     char_poly_direct,
     coeff_from_pseudo_orbits,
-    dft_matrix,
     evolution_operator,
     expansion_terms,
     orbit_amplitude,
@@ -67,26 +66,26 @@ def random_unitary(dim, seed):
 
 def test_dft_q2_exact():
     expected = np.array([[1, 1], [1, -1]]) * INV_SQRT2
-    assert np.allclose(dft_matrix(2), expected, atol=1e-15)
+    assert np.allclose(np.array(_dft_table(2)), expected, atol=1e-15)
 
 
 def test_dft_q1():
-    assert np.allclose(dft_matrix(1), [[1.0]])
+    assert np.allclose(np.array(_dft_table(1)), [[1.0]])
 
 
 def test_dft_q3_second_row():
     omega = np.exp(2j * np.pi / 3)
     row = np.array([1, omega, omega**2]) / np.sqrt(3)
-    assert np.allclose(dft_matrix(3)[1], row, atol=1e-15)
+    assert np.allclose(np.array(_dft_table(3))[1], row, atol=1e-15)
 
 
 @pytest.mark.parametrize("q", range(1, 9))
 def test_dft_unitary(q):
-    assert unitarity_defect(dft_matrix(q)) < 1e-13
+    assert unitarity_defect(np.array(_dft_table(q))) < 1e-13
 
 
 def test_dft_table_is_numpys_dft_bit_for_bit():
-    # the table comes from math alone, and dft_matrix is built from it: both
+    # the table comes from math alone, and Sigma's blocks are its array: both
     # keep the bits of numpy's complex exp and divide, the DFT's former route
     def bits(rows):
         return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
@@ -94,12 +93,8 @@ def test_dft_table_is_numpys_dft_bit_for_bit():
     for q in range(1, 65):
         j = np.arange(q)
         numpy_dft = np.exp(1j * ((np.outer(j, j) % q) * (2.0 * np.pi / q))) / np.sqrt(q)
-        assert bits(_dft_table(q)) == bits(dft_matrix(q).tolist()) == bits(numpy_dft.tolist())
-
-
-def test_dft_matrix_refuses_size_zero():
-    with pytest.raises(ValueError, match="size must be at least 1, got 0"):
-        dft_matrix(0)
+        table = _dft_table(q)
+        assert bits(table) == bits(np.array(table).tolist()) == bits(numpy_dft.tolist())
 
 
 # --- Sigma assembly -----------------------------------------------------------
@@ -158,7 +153,7 @@ def test_sigma_equals_the_vertex_by_vertex_loop(q, m):
     # the reference fills one DFT block per vertex v: out-edge v.c, in-edge b.v
     g = build_graph(q, m)
     V = g.num_vertices
-    dft = dft_matrix(q)
+    dft = np.array(_dft_table(q))
     reference = np.zeros((g.num_edges, g.num_edges), dtype=complex)
     for v in range(V):
         for b in range(q):

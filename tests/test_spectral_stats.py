@@ -15,10 +15,10 @@ from qnary import _kernels, quantum, spectral_stats
 from qnary._kernels import _char_polys, _sampled_coefficients, _sampled_variances
 from qnary.debruijn import _windows, build_graph, edge_multiplicities, primitive_pseudo_orbits
 from qnary.quantum import (
+    _dft_table,
     assemble_sigma,
     build_instance,
     coeff_from_pseudo_orbits,
-    dft_matrix,
     expansion_terms,
     orbit_amplitude,
 )
@@ -655,7 +655,7 @@ def test_weight_memo_stays_small_at_large_q():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
 def test_minor_weights_equal_lapack_determinants(q, monkeypatch):
-    F = dft_matrix(q)
+    F = np.array(_dft_table(q))
 
     def lapack(rows, cols):
         return abs(np.linalg.det(F[np.ix_(rows, cols)])) ** 2 if rows else 1.0
@@ -922,7 +922,7 @@ def _random_balanced_set(q, m, rng):
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_balanced_minor_factors_over_vertices(q, m):
     inst = build_instance(q, m, seed=4)
-    graph, F = inst.graph, dft_matrix(q)
+    graph, F = inst.graph, np.array(_dft_table(q))
     sigma = assemble_sigma(graph)
     rng = np.random.default_rng(1000 * q + m)
     for _ in range(20):
